@@ -6,16 +6,9 @@
 //! computable in polynomial time, O(n³) after Nielson–Seidl; the fitted
 //! exponents must stay at or below ~3.
 
-//! A second sweep compares the sequential worklist solver against the
-//! sharded bulk-synchronous parallel solver (`solve_parallel`) at 1, 2
-//! and 4 shards: identical estimates (checked), measured wall time,
-//! memo-cache hit rates, rounds, and delta traffic. Speedup is reported,
-//! not asserted — on a single-core host the sharded solver cannot beat
-//! the sequential one; the point of the sweep is the instrumentation.
-
 use nuspi_bench::report::{loglog_slope, timed, timed_stable, Table};
 use nuspi_bench::workloads;
-use nuspi_cfa::{solve, solve_parallel, Constraints};
+use nuspi_cfa::{solve, Constraints};
 use nuspi_syntax::Process;
 use std::time::Duration;
 
@@ -109,110 +102,4 @@ fn main() {
         "scaling exponent {worst:.2} exceeds the cubic claim (with 0.4 measurement slack)"
     );
     println!("F1 PASS: all families scale with exponent ≤ 3 (within measurement slack).");
-
-    parallel_sweep();
-}
-
-/// Sequential vs sharded solver on the largest workload instances.
-fn parallel_sweep() {
-    println!("\nF1b: sequential vs sharded parallel solver\n");
-    let instances = [
-        ("crypto-chain-64", workloads::crypto_chain(64)),
-        ("star-broadcast-64", workloads::star_broadcast(64)),
-        ("wmf-sessions-16", workloads::wmf_sessions(16)),
-        ("mixer-32", workloads::mixer(32)),
-    ];
-    let mut table = Table::new([
-        "instance",
-        "solver",
-        "mean time",
-        "speedup",
-        "rounds",
-        "queries",
-        "cache hit%",
-        "deltas",
-    ]);
-    for (name, p) in &instances {
-        let seq_time = timed_stable(Duration::from_millis(60), || {
-            let _ = solve(Constraints::generate(p));
-        });
-        let seq = solve(Constraints::generate(p));
-        let st = seq.stats();
-        let hitrate = |hits: usize, queries: usize| {
-            if queries == 0 {
-                "-".to_owned()
-            } else {
-                format!("{:.1}", 100.0 * hits as f64 / queries as f64)
-            }
-        };
-        table.row([
-            name.to_string(),
-            "sequential".to_owned(),
-            format!("{:.3}ms", seq_time.as_secs_f64() * 1e3),
-            "1.00x".to_owned(),
-            st.rounds.to_string(),
-            st.intersection_queries.to_string(),
-            hitrate(st.cache_hits, st.intersection_queries),
-            "-".to_owned(),
-        ]);
-        for threads in [1usize, 2, 4] {
-            let par_time = timed_stable(Duration::from_millis(60), || {
-                let _ = solve_parallel(Constraints::generate(p), threads);
-            });
-            let par = solve_parallel(Constraints::generate(p), threads);
-            seq.estimate_eq(&par)
-                .unwrap_or_else(|e| panic!("{name}: parallel({threads}) diverged: {e}"));
-            let st = par.stats();
-            let deltas: usize = st.per_shard.iter().map(|s| s.deltas_sent).sum();
-            table.row([
-                name.to_string(),
-                format!("sharded x{threads}"),
-                format!("{:.3}ms", par_time.as_secs_f64() * 1e3),
-                format!("{:.2}x", seq_time.as_secs_f64() / par_time.as_secs_f64()),
-                st.rounds.to_string(),
-                st.intersection_queries.to_string(),
-                hitrate(st.cache_hits, st.intersection_queries),
-                deltas.to_string(),
-            ]);
-        }
-    }
-    println!("{}", table.render());
-
-    // Per-shard detail for one representative instance.
-    let par = solve_parallel(Constraints::generate(&instances[2].1), 4);
-    let st = par.stats();
-    let mut shards = Table::new([
-        "shard",
-        "owned vars",
-        "productions",
-        "edges",
-        "firings",
-        "queries",
-        "hits",
-        "sent",
-        "applied",
-    ]);
-    for (i, sh) in st.per_shard.iter().enumerate() {
-        shards.row([
-            i.to_string(),
-            sh.owned_vars.to_string(),
-            sh.productions.to_string(),
-            sh.edges.to_string(),
-            sh.conditional_firings.to_string(),
-            sh.intersection_queries.to_string(),
-            sh.cache_hits.to_string(),
-            sh.deltas_sent.to_string(),
-            sh.deltas_applied.to_string(),
-        ]);
-    }
-    println!("per-shard statistics, {} at 4 shards:", instances[2].0);
-    println!("{}", shards.render());
-    println!(
-        "round wall times (ms): {:?}",
-        st.round_millis
-            .iter()
-            .map(|ms| (ms * 1000.0).round() / 1000.0)
-            .collect::<Vec<_>>()
-    );
-    println!("\nF1b done: all sharded runs computed the sequential estimate exactly.");
 }

@@ -14,7 +14,7 @@
 
 use crate::report::{timed, timed_stable, BenchReport, Table};
 use crate::workloads;
-use nuspi_cfa::{analyze, analyze_with_attacker, solve, solve_parallel, Constraints};
+use nuspi_cfa::{analyze, analyze_with_attacker, solve, Constraints};
 use nuspi_diagnostics::{lint, LintContext, PassRegistry};
 use nuspi_engine::jsonio::escape;
 use nuspi_engine::{AnalysisEngine, ProcessInput, Request, Response};
@@ -80,8 +80,8 @@ fn fmt_ms(d: Duration) -> String {
 }
 
 /// Solver throughput over the parametric workload families, the
-/// generation/solve phase split, and sequential-vs-sharded at the
-/// largest sizes — plus exact production counts as α-stability canaries.
+/// generation/solve phase split, and the named interleaved scenarios —
+/// plus exact production counts as α-stability canaries.
 pub fn solver(smoke: bool) -> SuiteRun {
     let b = budget(smoke);
     let mut report = BenchReport::new("solver", smoke);
@@ -197,146 +197,8 @@ pub fn solver(smoke: bool) -> SuiteRun {
     human.push_str(&lat4.render());
     human.push('\n');
 
-    // Work-stealing scaling: sequential vs the parallel solver at 1, 2,
-    // 4 and 8 workers, topped by the 10 000-session interleaved corpus.
-    // The speedup booleans gate real hardware only — on boxes with
-    // fewer cores than workers they pass vacuously, while the plain
-    // time entries still gate against the committed baseline.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut par = Table::new(["benchmark", "threads", "mean time", "steals"]);
-    for (name, p) in [
-        ("wmf-sessions-16", workloads::wmf_sessions(16)),
-        ("mixer-32", workloads::mixer(32)),
-        (
-            "interleaved-10000x4",
-            workloads::scenario("interleaved-10000x4").expect("registered scenario"),
-        ),
-    ] {
-        // One untimed warm-up solve so the first measured thread count
-        // doesn't also pay the arena's first-touch page faults.
-        let _ = solve_parallel(Constraints::generate(&p), 1);
-        let mut times = Vec::new();
-        for threads in [1usize, 2, 4, 8] {
-            let mut steals = 0u64;
-            let t = timed_stable(b, || {
-                let sol = solve_parallel(Constraints::generate(&p), threads);
-                steals = sol.stats().per_shard.iter().map(|s| s.steals as u64).sum();
-            });
-            par.row([
-                format!("parallel/{name}"),
-                threads.to_string(),
-                fmt_ms(t),
-                steals.to_string(),
-            ]);
-            report.time(&format!("parallel/{name}/t{threads}"), t);
-            times.push(t.as_secs_f64());
-        }
-        if name == "interleaved-10000x4" {
-            let (s2, s4, s8) = (
-                times[0] / times[1],
-                times[0] / times[2],
-                times[0] / times[3],
-            );
-            report.info("parallel/interleaved-10000x4/speedup-t2", s2, "x");
-            report.info("parallel/interleaved-10000x4/speedup-t4", s4, "x");
-            report.info("parallel/interleaved-10000x4/speedup-t8", s8, "x");
-            let monotone = (times[0] >= times[1] && times[1] >= times[2]) || cores < 4;
-            report.exact(
-                "parallel/interleaved-10000x4/monotone-1-2-4",
-                u64::from(monotone),
-            );
-            report.exact(
-                "parallel/interleaved-10000x4/speedup-t8-ge-2",
-                u64::from(s8 >= 2.0 || cores < 8),
-            );
-            human.push_str(&format!(
-                "interleaved-10000x4 speedups: t2 {s2:.2}x  t4 {s4:.2}x  t8 {s8:.2}x ({cores} core(s))\n"
-            ));
-        }
-    }
-    human.push_str(&par.render());
-    human.push('\n');
-
-    // Incremental re-solve: a warmed solver re-analyses the corpus
-    // after a one-line payload edit (only the edited component misses
-    // its cache) and after a digest-identical no-op. The sub-ms boolean
-    // is the editor-loop target: protocol-sized input, single edit,
-    // under a millisecond to the new least solution.
-    let mut inc_table = Table::new(["benchmark", "edit re-solve", "no-op re-solve"]);
-    for name in [
-        "interleaved-10x4",
-        "interleaved-1000x4",
-        "interleaved-10000x4",
-    ] {
-        let p = workloads::scenario(name).expect("registered scenario");
-        let edited = edit_one_payload(name);
-        let mut inc = nuspi_cfa::IncrementalSolver::new(1);
-        inc.solve(&p); // warm the component cache
-        let mut flip = false;
-        let t_edit = timed_stable(b, || {
-            // Alternate the two texts so every iteration is a genuine
-            // one-component re-solve, never a no-op.
-            flip = !flip;
-            let _ = inc.solve(if flip { &edited } else { &p });
-        });
-        let current = if flip { &edited } else { &p };
-        let t_noop = timed_stable(b, || {
-            let _ = inc.solve(current);
-        });
-        inc_table.row([
-            format!("incremental/{name}"),
-            fmt_ms(t_edit),
-            fmt_ms(t_noop),
-        ]);
-        report.time(&format!("incremental/{name}/edit-resolve"), t_edit);
-        report.time(&format!("incremental/{name}/noop-resolve"), t_noop);
-        if name == "interleaved-10x4" {
-            // The boolean gates *capability*, not load: the best of a
-            // few dedicated iterations, so a de-scheduled measurement on
-            // a busy CI box cannot flip a deterministic exact metric.
-            let best = (0..32)
-                .map(|_| {
-                    flip = !flip;
-                    let target = if flip { &edited } else { &p };
-                    let t0 = std::time::Instant::now();
-                    let _ = inc.solve(target);
-                    t0.elapsed()
-                })
-                .min()
-                .expect("nonempty sample");
-            report.exact(
-                "incremental/edit-resolve-sub-ms",
-                u64::from(best < Duration::from_millis(1)),
-            );
-        }
-    }
-    human.push_str(&inc_table.render());
     human.push_str("bench_solver done.\n");
     SuiteRun { human, report }
-}
-
-/// The named interleaved scenario with session 0's payload renamed —
-/// the "one-line edit" the incremental benchmarks re-solve.
-fn edit_one_payload(name: &str) -> Process {
-    let (s, d) = name
-        .strip_prefix("interleaved-")
-        .and_then(|r| r.split_once('x'))
-        .expect("interleaved scenario name");
-    let src = workloads::interleaved_source(
-        s.parse().expect("sessions"),
-        d.parse().expect("depth"),
-        workloads::INTERLEAVED_SEED,
-    );
-    // Session 0 seeds its pipeline either in the clear or encrypted;
-    // exactly one of the two rewrites applies.
-    let edited = src.replacen("<v0>", "<v0edit>", 1);
-    let edited = if edited == src {
-        src.replacen("{v0, ", "{v0edit, ", 1)
-    } else {
-        edited
-    };
-    assert_ne!(edited, src, "payload edit must change the corpus");
-    parse_process(&edited).expect("edited corpus parses")
 }
 
 /// The 25-case lint batch the engine bench and the round-trip suite use:
@@ -353,7 +215,6 @@ pub fn suite_requests() -> Vec<Request> {
         out.push(Request::Lint {
             process: ProcessInput::Source(spec.source.clone()),
             secrets,
-            shards: 1,
         });
     }
     for ex in open_examples() {
@@ -368,7 +229,6 @@ pub fn suite_requests() -> Vec<Request> {
         out.push(Request::Lint {
             process: ProcessInput::Parsed(tracked),
             secrets,
-            shards: 1,
         });
     }
     out
@@ -765,7 +625,6 @@ pub fn lang(smoke: bool) -> SuiteRun {
         .map(|(name, src)| Request::AnalyzeSource {
             file: format!("{name}.nu"),
             source: (*src).to_owned(),
-            shards: 1,
         })
         .collect();
     let (cold_responses, cold) = timed(|| engine.submit_requests(requests.clone()));

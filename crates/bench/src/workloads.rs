@@ -17,7 +17,7 @@
 //!   worst-case κ mixing (quadratic flow relationships).
 //! * [`interleaved`] — a SplitMix64-seeded corpus of thousands of relay
 //!   and crypto sessions, component-shuffled so sessions interleave in
-//!   text order: the work-stealing and incremental solvers' home turf.
+//!   text order.
 //!
 //! [`scenario`] resolves the *named* family instances the bench suite
 //! and the regression gate refer to by string (`wmf-sessions-16`,
@@ -132,8 +132,7 @@ pub const INTERLEAVED_SEED: u64 = 0x5eed_cafe_2026_0001;
 /// drawn from a 16-key pool, with one session in eight draining into a
 /// small set of shared hub channels. All components are then shuffled
 /// by the same SplitMix64 stream, so neighbouring text is almost never
-/// the same session — the corpus shape the work-stealing solver and the
-/// component-digesting incremental solver are built for.
+/// the same session.
 ///
 /// The text is a pure function of `(sessions, depth, seed)`: same
 /// arguments, same bytes, on any machine and under any thread count.
@@ -438,7 +437,7 @@ mod tests {
         }
     }
 
-    /// Perf probe, not a correctness test: prints parse/solve/incremental
+    /// Perf probe, not a correctness test: prints generate/parse/solve
     /// timings over the interleaved family. Run on demand with
     /// `cargo test --release -p nuspi-bench interleaved_perf -- --ignored --nocapture`.
     #[test]
@@ -456,34 +455,13 @@ mod tests {
                 "interleaved-{s}x{d}: gen {gen:?} parse {parse:?} ({} bytes)",
                 src.len()
             );
-            for threads in [1usize, 2, 4, 8] {
-                let t0 = Instant::now();
-                let sol = nuspi_cfa::solve_parallel(nuspi_cfa::Constraints::generate(&p), threads);
-                println!(
-                    "  solve t{threads}: {:?} ({} prods)",
-                    t0.elapsed(),
-                    sol.stats().productions
-                );
-            }
-            let edited = {
-                let e = src.replacen("<v0>", "<v0edit>", 1);
-                if e != src {
-                    e
-                } else {
-                    src.replacen("{v0, ", "{v0edit, ", 1)
-                }
-            };
-            let q = nuspi_syntax::parse_process(&edited).unwrap();
-            let mut inc = nuspi_cfa::IncrementalSolver::new(1);
             let t0 = Instant::now();
-            inc.solve(&p);
-            println!("  incremental cold: {:?}", t0.elapsed());
-            let t0 = Instant::now();
-            let (_, st) = inc.solve(&q);
-            println!("  incremental edit: {:?} ({st:?})", t0.elapsed());
-            let t0 = Instant::now();
-            let (_, st) = inc.solve(&q);
-            println!("  incremental noop: {:?} ({st:?})", t0.elapsed());
+            let sol = nuspi_cfa::solve(nuspi_cfa::Constraints::generate(&p));
+            println!(
+                "  solve: {:?} ({} prods)",
+                t0.elapsed(),
+                sol.stats().productions
+            );
         }
     }
 

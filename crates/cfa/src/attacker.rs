@@ -208,21 +208,6 @@ pub fn analyze_with_attacker(p: &Process, secret: &HashSet<Symbol>) -> AttackedS
     AttackedSolution { solution, ether }
 }
 
-/// Like [`analyze_with_attacker`], solving on `threads` shards with
-/// [`solve_parallel`](crate::solve_parallel). The estimate is identical
-/// to the sequential one (differential testing covers this), so callers
-/// can trade solver layout for wall-clock without changing verdicts.
-pub fn analyze_with_attacker_parallel(
-    p: &Process,
-    secret: &HashSet<Symbol>,
-    threads: usize,
-) -> AttackedSolution {
-    let mut cs = Constraints::generate(p);
-    let ether = add_attacker(&mut cs, p, secret);
-    let solution = crate::solve_parallel(cs, threads);
-    AttackedSolution { solution, ether }
-}
-
 /// Like [`analyze_with_attacker`], with flow [`Provenance`] recorded.
 pub fn analyze_with_attacker_traced(
     p: &Process,

@@ -8,11 +8,10 @@
 //!
 //! * [`analyze`] — one call: generate constraints and solve to the least
 //!   [`Solution`].
-//! * [`Constraints::generate`] / [`solve`] — the two phases separately.
-//! * [`solve_parallel`] / [`solve_suite`] — the sharded
-//!   bulk-synchronous solver and the concurrent batch API.
+//! * [`Constraints::generate`] / [`solve`] — the two phases separately;
+//!   [`solve_traced`] additionally records flow [`Provenance`].
 //! * [`solve_reference`] — a deliberately naive round-robin solver, the
-//!   oracle the optimised solvers are differentially tested against.
+//!   oracle the worklist solver is differentially tested against.
 //! * [`accept::verify`] — independent acceptability validation of a
 //!   solution (Table 2 re-checked symbolically).
 //! * [`FiniteEstimate`] — the reference, set-theoretic reading of Table 2
@@ -40,25 +39,17 @@ mod constraints;
 mod display;
 mod domain;
 mod finite;
-mod incremental;
 mod lang;
-mod parallel;
 mod reference;
 mod solver;
 
-pub use attacker::{
-    analyze_with_attacker, analyze_with_attacker_parallel, analyze_with_attacker_traced,
-    AttackedSolution,
-};
+pub use attacker::{analyze_with_attacker, analyze_with_attacker_traced, AttackedSolution};
 pub use constraints::{Constraint, Constraints};
 pub use domain::{FlowVar, Prod, VarId, VarTable};
 pub use finite::{FiniteEstimate, FiniteViolation, ValSet};
-pub use incremental::{IncrementalSolver, IncrementalStats};
-pub use parallel::{solve_parallel, solve_suite};
 pub use reference::solve_reference;
 pub use solver::{
-    solve, solve_traced, EdgeKind, FlowStep, FlowStepKind, Provenance, ShardStats, Solution,
-    SolverStats,
+    solve, solve_traced, EdgeKind, FlowStep, FlowStepKind, Provenance, Solution, SolverStats,
 };
 
 use nuspi_syntax::Process;
@@ -67,10 +58,4 @@ use nuspi_syntax::Process;
 /// generation (Table 2) followed by the worklist solver.
 pub fn analyze(p: &Process) -> Solution {
     solve(Constraints::generate(p))
-}
-
-/// Like [`analyze`], but solving on `threads` shards with
-/// [`solve_parallel`]. The resulting estimate is identical.
-pub fn analyze_parallel(p: &Process, threads: usize) -> Solution {
-    solve_parallel(Constraints::generate(p), threads)
 }

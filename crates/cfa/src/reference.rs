@@ -7,10 +7,9 @@
 //! nothing. That is the textbook Kleene iteration of the clauses, slow
 //! (each pass is linear in the constraint count times the current
 //! solution size, and there can be many passes) but so simple that its
-//! correctness is evident by inspection of Table 2. The optimised solvers
-//! ([`solve`](crate::solve), [`solve_parallel`](crate::solve_parallel))
-//! are differentially tested against it: on every input, all three must
-//! produce the same estimate `(ρ, κ, ζ)`.
+//! correctness is evident by inspection of Table 2. The worklist solver
+//! ([`solve`](crate::solve)) is differentially tested against it: on
+//! every input, both must produce the same estimate `(ρ, κ, ζ)`.
 
 use crate::constraints::{Constraint, Constraints};
 use crate::domain::{FlowVar, Prod, VarId, VarTable};
@@ -120,7 +119,7 @@ pub fn solve_reference(constraints: Constraints) -> Solution {
                         stats.intersection_queries += 1;
                         stats.cache_misses += 1;
                         let mut known = HashSet::new();
-                        if intersect_fixpoint(prods.as_slice(), &mut known, enc_key, *key) {
+                        if intersect_fixpoint(&prods, &mut known, enc_key, *key) {
                             stats.conditional_firings += 1;
                             for (a, x) in args.into_iter().zip(xs.iter()) {
                                 changed |= copy_all(&mut prods, a, *x);

@@ -17,7 +17,6 @@
 use crate::constraints::{Constraint, Constraints};
 use crate::domain::{FlowVar, Prod, VarId, VarTable};
 use nuspi_syntax::{Label, Symbol, Value, Var};
-use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Size and effort counters of a solver run.
@@ -47,61 +46,15 @@ pub struct SolverStats {
     /// Memo caches persist across rounds, so on a workload whose final
     /// rounds re-ask settled queries the tail entries are all-hit.
     pub round_memo: Vec<(usize, usize)>,
-    /// Per-shard counters ([`solve_parallel`](crate::solve_parallel)
-    /// only; empty for the sequential and reference solvers).
-    pub per_shard: Vec<ShardStats>,
-}
-
-/// Effort counters of one shard of the parallel solver.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct ShardStats {
-    /// Flow variables owned by the shard.
-    pub owned_vars: usize,
-    /// Productions stored in the shard's variables at the end.
-    pub productions: usize,
-    /// Subset edges whose source the shard owns.
-    pub edges: usize,
-    /// Conditional-constraint firings evaluated on this shard.
-    pub conditional_firings: usize,
-    /// Intersection queries issued by this shard.
-    pub intersection_queries: usize,
-    /// Queries answered from the shard's memo cache.
-    pub cache_hits: usize,
-    /// Queries that ran the saturation.
-    pub cache_misses: usize,
-    /// Cross-shard deltas this shard emitted.
-    pub deltas_sent: usize,
-    /// Deltas this shard applied to its own variables.
-    pub deltas_applied: usize,
-    /// Tasks this worker stole from another worker's deque.
-    pub steals: usize,
 }
 
 #[derive(Clone, Debug)]
-pub(crate) enum Cond {
+enum Cond {
     Output { msg: VarId },
     Input { var: VarId },
     Split { fst: VarId, snd: VarId },
     CaseSuc { pred: VarId },
     Decrypt { key: VarId, vars: Vec<VarId> },
-}
-
-/// Read-only access to the production sets of a grammar, however they are
-/// stored — a dense slice (sequential solver, [`Solution`]) or a sharded
-/// layout (the parallel solver). [`intersect_fixpoint`] is generic in
-/// this so all solvers share one intersection-nonemptiness decision
-/// procedure.
-pub(crate) trait ProdView {
-    /// The productions of `v`, or `None` if the variable has none. A
-    /// dense layout borrows; a locked layout snapshots under its lock and
-    /// returns an owned copy, so no lock is held across pair-graph steps.
-    fn prods_at(&self, v: VarId) -> Option<Cow<'_, HashSet<Prod>>>;
-}
-
-impl ProdView for [HashSet<Prod>] {
-    fn prods_at(&self, v: VarId) -> Option<Cow<'_, HashSet<Prod>>> {
-        self.get(v.index()).map(Cow::Borrowed)
-    }
 }
 
 /// Why a production first entered a flow variable.
@@ -296,25 +249,14 @@ pub fn solve(constraints: Constraints) -> Solution {
     solve_impl(constraints, false).0
 }
 
-/// Like [`solve`], additionally returning the subset-edge relation of the
-/// final grammar (the incremental solver caches it alongside the
-/// production sets so a reused component can be re-stitched silently).
-pub(crate) fn solve_with_edges(constraints: Constraints) -> (Solution, Vec<(VarId, VarId)>) {
-    let (sol, _, edges) = solve_impl(constraints, false);
-    (sol, edges)
-}
-
 /// Like [`solve`], additionally recording flow [`Provenance`] so each
 /// production's path into each variable can be narrated.
 pub fn solve_traced(constraints: Constraints) -> (Solution, Provenance) {
-    let (sol, prov, _) = solve_impl(constraints, true);
+    let (sol, prov) = solve_impl(constraints, true);
     (sol, prov.expect("tracing was enabled"))
 }
 
-fn solve_impl(
-    constraints: Constraints,
-    traced: bool,
-) -> (Solution, Option<Provenance>, Vec<(VarId, VarId)>) {
+fn solve_impl(constraints: Constraints, traced: bool) -> (Solution, Option<Provenance>) {
     let _sp = nuspi_obs::span!("cfa.solve");
     let Constraints { vars, list } = constraints;
     let n = vars.len();
@@ -413,7 +355,6 @@ fn solve_impl(
             nuspi_obs::record_us("cfa.round_us", (ms * 1e3) as u64);
         }
     }
-    let edges: Vec<(VarId, VarId)> = s.edge_set.iter().copied().collect();
     (
         Solution {
             vars: s.vars,
@@ -422,7 +363,6 @@ fn solve_impl(
             empty: HashSet::new(),
         },
         s.trace,
-        edges,
     )
 }
 
@@ -566,7 +506,7 @@ impl Solver {
             return false;
         }
         self.stats.cache_misses += 1;
-        if intersect_fixpoint(self.prods.as_slice(), &mut self.nonempty, a, b) {
+        if intersect_fixpoint(&self.prods, &mut self.nonempty, a, b) {
             true
         } else {
             self.neg_cache.insert(pair, self.generation);
@@ -575,7 +515,7 @@ impl Solver {
     }
 }
 
-pub(crate) fn norm(a: VarId, b: VarId) -> (VarId, VarId) {
+fn norm(a: VarId, b: VarId) -> (VarId, VarId) {
     if a <= b {
         (a, b)
     } else {
@@ -585,8 +525,8 @@ pub(crate) fn norm(a: VarId, b: VarId) -> (VarId, VarId) {
 
 /// Decides `L(a) ∩ L(b) ≠ ∅` over production sets `prods`, updating the
 /// monotone positive cache `known`.
-pub(crate) fn intersect_fixpoint<V: ProdView + ?Sized>(
-    prods: &V,
+pub(crate) fn intersect_fixpoint(
+    prods: &[HashSet<Prod>],
     known: &mut HashSet<(VarId, VarId)>,
     a: VarId,
     b: VarId,
@@ -607,7 +547,7 @@ pub(crate) fn intersect_fixpoint<V: ProdView + ?Sized>(
         }
         let (u, v) = pair;
         let mut here = Vec::new();
-        if let (Some(pu), Some(pv)) = (prods.prods_at(u), prods.prods_at(v)) {
+        if let (Some(pu), Some(pv)) = (prods.get(u.index()), prods.get(v.index())) {
             for p in pu.iter() {
                 for q in pv.iter() {
                     if let Some(children) = p.root_compatible(q) {
@@ -649,8 +589,8 @@ pub(crate) fn intersect_fixpoint<V: ProdView + ?Sized>(
 }
 
 impl Solution {
-    /// Assembles a solution from raw parts (used by the parallel and
-    /// reference solvers, which maintain their own storage layouts).
+    /// Assembles a solution from raw parts (used by the reference solver,
+    /// which maintains its own storage layout).
     pub(crate) fn from_parts(
         vars: VarTable,
         prods: Vec<HashSet<Prod>>,
@@ -780,7 +720,7 @@ impl Solution {
     /// Decides `L(a) ∩ L(b) ≠ ∅` on the solved grammar.
     pub fn intersect_nonempty(&self, a: VarId, b: VarId) -> bool {
         let mut known = HashSet::new();
-        intersect_fixpoint(self.prods.as_slice(), &mut known, a, b)
+        intersect_fixpoint(&self.prods, &mut known, a, b)
     }
 
     /// Enumerates up to `limit` values of `L(fv)` with height at most
@@ -788,7 +728,7 @@ impl Solution {
     /// order is deterministic — productions are visited in rendered
     /// order, which depends only on the grammar's languages, never on
     /// hashing or on the solver's [`VarId`] layout — so output is
-    /// byte-stable across runs and shard counts.
+    /// byte-stable across runs.
     pub fn enumerate(&self, fv: FlowVar, max_height: usize, limit: usize) -> Vec<Value> {
         let Some(id) = self.vars.get(fv) else {
             return Vec::new();

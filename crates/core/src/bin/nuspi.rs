@@ -2,15 +2,15 @@
 //!
 //! ```text
 //! nuspi check   <file> [--secret NAME]...        audit: confinement + carefulness + intruder
-//! nuspi check   <file.nu> [--json] [--shards N]  compile an annotated source program and lint it
-//! nuspi analyze <file> [--secret NAME]... [--attacker] [--incremental] [--depth N] [--summary]
+//! nuspi check   <file.nu> [--json]               compile an annotated source program and lint it
+//! nuspi analyze <file> [--secret NAME]... [--attacker] [--depth N] [--summary]
 //!                                                print the least estimate (ρ, κ, ζ)
 //! nuspi run     <file> [--steps N] [--seed N] [--classic]
 //!                                                random simulation, printing the trace
 //! nuspi explore <file> [--max-depth N] [--max-states N]
 //!                                                bounded state-space statistics
 //! nuspi explain <file> [--secret NAME]...        narrate how secrets reach public channels
-//! nuspi lint    <file> [--secret NAME]... [--json] [--shards N]
+//! nuspi lint    <file> [--secret NAME]... [--json]
 //!                                                multi-pass diagnostics with witness traces
 //! nuspi equiv   <left> <right> [--json]          bounded hedged-bisimilarity of two processes
 //! nuspi serve   [--jobs N] [--cache-bytes N]     JSON-lines analysis service on stdin/stdout
@@ -46,12 +46,12 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   nuspi check   <file> [--secret NAME]...
-  nuspi check   <file.nu> [--json] [--shards N]
-  nuspi analyze <file> [--secret NAME]... [--attacker] [--incremental] [--depth N] [--summary]
+  nuspi check   <file.nu> [--json]
+  nuspi analyze <file> [--secret NAME]... [--attacker] [--depth N] [--summary]
   nuspi run     <file> [--steps N] [--seed N] [--classic] [--msc]
   nuspi explore <file> [--max-depth N] [--max-states N]
   nuspi explain <file> [--secret NAME]...
-  nuspi lint    <file> [--secret NAME]... [--json] [--shards N]
+  nuspi lint    <file> [--secret NAME]... [--json]
   nuspi equiv   <left> <right> [--json]
   nuspi serve   [--jobs N] [--cache-bytes N] [--trace FILE]
                 [--listen ADDR] [--cache-dir DIR] [--max-conns N] [--idle-ms N]
@@ -62,12 +62,10 @@ struct Opts {
     file: Option<String>,
     secrets: Vec<String>,
     attacker: bool,
-    incremental: bool,
     classic: bool,
     msc: bool,
     summary: bool,
     json: bool,
-    shards: usize,
     depth: usize,
     steps: usize,
     seed: u64,
@@ -90,12 +88,10 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         file: None,
         secrets: Vec::new(),
         attacker: false,
-        incremental: false,
         classic: false,
         msc: false,
         summary: false,
         json: false,
-        shards: 1,
         depth: 3,
         steps: 64,
         seed: 0,
@@ -125,12 +121,10 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                 .secrets
                 .push(it.next().ok_or("--secret needs a name")?.clone()),
             "--attacker" => o.attacker = true,
-            "--incremental" => o.incremental = true,
             "--classic" => o.classic = true,
             "--msc" => o.msc = true,
             "--summary" => o.summary = true,
             "--json" => o.json = true,
-            "--shards" => o.shards = (num("--shards")? as usize).max(1),
             "--depth" => o.depth = num("--depth")? as usize,
             "--steps" => o.steps = num("--steps")? as usize,
             "--seed" => o.seed = num("--seed")?,
@@ -367,7 +361,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         // Annotated-source programs go through the nuspi-lang frontend;
         // compile failures still render a report (and a JSON document
         // under --json) rather than a bare usage error.
-        let report = nuspi::lang::check_with(&file, &src, o.shards);
+        let report = nuspi::lang::check(&file, &src);
         if o.json {
             print!("{}", nuspi::lang::check_to_json(&report));
         } else {
@@ -411,22 +405,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             })
         }
         "analyze" => {
-            if o.incremental && o.attacker {
-                return Err("--incremental cannot be combined with --attacker".into());
-            }
             let solution = if o.attacker {
                 let secret = policy.secrets().collect();
                 nuspi_cfa::analyze_with_attacker(&process, &secret).solution
-            } else if o.incremental {
-                // One-shot runs start cold, but the path (component
-                // digesting + cached re-stitching) is the same one
-                // `nuspi serve`'s solve_incremental op keeps warm.
-                let (solution, inc) = nuspi_cfa::IncrementalSolver::new(o.shards).solve(&process);
-                eprintln!(
-                    "-- incremental: {} components, {} reused, {} solved",
-                    inc.components, inc.reuse_hits, inc.reuse_misses
-                );
-                solution
             } else {
                 nuspi::analyze(&process)
             };
@@ -567,11 +548,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             }
         }
         "lint" => {
-            let cfg = nuspi::LintConfig {
-                shards: o.shards,
-                ..nuspi::LintConfig::default()
-            };
-            let diags = nuspi::lint_with(&process, &policy, cfg);
+            let diags = nuspi::lint(&process, &policy);
             if o.json {
                 print!("{}", nuspi::diagnostics::to_json(&diags));
             } else {
@@ -694,6 +671,15 @@ mod tests {
         assert!(parse_opts(&s(&["f", "--secret"])).is_err());
         assert!(parse_opts(&s(&["f", "--depth", "x"])).is_err());
         assert!(parse_opts(&s(&["a", "b"])).is_err());
+        // Retired flags get the same unknown-flag usage error.
+        assert_eq!(
+            run(&s(&["lint", "f", "--shards", "4"])).err().as_deref(),
+            Some("unknown flag --shards")
+        );
+        assert_eq!(
+            run(&s(&["analyze", "f", "--incremental"])).err().as_deref(),
+            Some("unknown flag --incremental")
+        );
     }
 
     #[test]
@@ -748,14 +734,7 @@ mod tests {
             ExitCode::FAILURE
         );
         assert_eq!(
-            run(&s(&[
-                "check",
-                leak.to_str().unwrap(),
-                "--json",
-                "--shards",
-                "2"
-            ]))
-            .unwrap(),
+            run(&s(&["check", leak.to_str().unwrap(), "--json"])).unwrap(),
             ExitCode::FAILURE
         );
 
@@ -781,17 +760,6 @@ mod tests {
             run(&s(&["analyze", f.to_str().unwrap(), "--attacker"])).unwrap(),
             ExitCode::SUCCESS
         );
-        assert_eq!(
-            run(&s(&["analyze", f.to_str().unwrap(), "--incremental"])).unwrap(),
-            ExitCode::SUCCESS
-        );
-        assert!(run(&s(&[
-            "analyze",
-            f.to_str().unwrap(),
-            "--incremental",
-            "--attacker"
-        ]))
-        .is_err());
         assert_eq!(
             run(&s(&["explore", f.to_str().unwrap(), "--max-depth", "4"])).unwrap(),
             ExitCode::SUCCESS
@@ -838,7 +806,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let bad = dir.join("lint-bad.nuspi");
         std::fs::write(&bad, "(new m) c<m>.0").unwrap();
-        for extra in [&[][..], &["--json"][..], &["--shards", "4"][..]] {
+        for extra in [&[][..], &["--json"][..]] {
             let mut args = s(&["lint", bad.to_str().unwrap(), "--secret", "m"]);
             args.extend(s(extra));
             assert_eq!(run(&args).unwrap(), ExitCode::FAILURE);

@@ -62,10 +62,7 @@ pub use nuspi_security as security;
 pub use nuspi_semantics as semantics;
 pub use nuspi_syntax as syntax;
 
-pub use nuspi_cfa::{
-    analyze, analyze_parallel, solve_parallel, solve_reference, solve_suite, FlowVar, ShardStats,
-    Solution, SolverStats,
-};
+pub use nuspi_cfa::{analyze, solve_reference, FlowVar, Solution, SolverStats};
 pub use nuspi_diagnostics::{lint, lint_with, Diagnostic, LintConfig, Severity};
 pub use nuspi_engine::{
     AnalysisEngine, EngineConfig, EngineStats, Envelope, IntruderBudgets, Request, Response,

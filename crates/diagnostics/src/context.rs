@@ -1,28 +1,17 @@
 //! The shared lint context: the process, the policy, stable label
-//! ordinals, and a lazily-built semantic layer (solver runs, provenance,
-//! abstract kind facts).
+//! ordinals, and a lazily-built semantic layer (one traced solve,
+//! its provenance, abstract kind facts).
 //!
 //! Syntactic passes never touch the semantic layer, so `lint` on a
 //! process with only syntactic findings pays zero solver cost — the
 //! `bench_lint` binary measures exactly this. Semantic passes share one
-//! [`SemanticCtx`] built on first use.
-//!
-//! ## Determinism across solver layouts
-//!
-//! Verdicts (does `κ(c)` contain a secret-kind production?) are read off
-//! the *decision* solution — sharded when [`LintConfig::shards`] `> 1` —
-//! while witness traces always come from a *traced sequential* solve,
-//! because only the sequential solver records [`Provenance`]. The two
-//! solutions have provably equal production sets (the differential suite
-//! covers this), so the emitted diagnostics are byte-identical whichever
-//! layout decided them. Facts indexed by [`VarId`](nuspi_cfa::VarId) are
-//! never mixed across the two solutions: each gets its own
-//! [`AbstractKind`] fixpoint.
+//! [`SemanticCtx`] built on first use: verdicts and witness traces are
+//! read off the same traced solution.
 
 use crate::diag::{Span, WitnessStep};
 use nuspi_cfa::{
-    analyze_with_attacker_parallel, analyze_with_attacker_traced, AttackedSolution, EdgeKind,
-    FlowStepKind, FlowVar, Prod, Provenance, Solution,
+    analyze_with_attacker_traced, AttackedSolution, EdgeKind, FlowStepKind, FlowVar, Prod,
+    Provenance, Solution,
 };
 use nuspi_security::{AbstractKind, Policy};
 use nuspi_semantics::ExecConfig;
@@ -31,23 +20,10 @@ use std::cell::OnceCell;
 use std::collections::HashMap;
 
 /// Tunables for a lint run.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct LintConfig {
-    /// Solver shards for the decision solution. `1` solves sequentially;
-    /// `> 1` uses the sharded parallel solver. Diagnostics are identical
-    /// either way.
-    pub shards: usize,
     /// Budgets for the bounded carefulness monitor.
     pub exec: ExecConfig,
-}
-
-impl Default for LintConfig {
-    fn default() -> LintConfig {
-        LintConfig {
-            shards: 1,
-            exec: ExecConfig::default(),
-        }
-    }
 }
 
 /// Everything a lint pass may consult. Construction is cheap; the
@@ -63,31 +39,17 @@ pub struct LintContext {
 
 /// The solver-derived layer shared by the semantic passes.
 pub struct SemanticCtx {
-    /// Sequential traced solve of `P` + most powerful attacker; the
-    /// source of every witness trace and rendered production.
+    /// Traced solve of `P` + most powerful attacker; the source of every
+    /// verdict, witness trace and rendered production.
     pub traced: AttackedSolution,
     /// First-cause flow provenance of the traced solve.
     pub provenance: Provenance,
     /// Kind facts over the traced solution's nonterminals.
     pub traced_kinds: AbstractKind,
-    /// The decision solution when sharded solving was requested; `None`
-    /// means the traced solution doubles as the decision solution.
-    pub decision: Option<AttackedSolution>,
-    /// Kind facts over the decision solution's nonterminals (its own
-    /// fixpoint — `VarId`s are not portable across solutions).
-    pub decision_kinds: AbstractKind,
 }
 
 impl SemanticCtx {
-    /// The solution verdicts are read from.
-    pub fn decision_solution(&self) -> &Solution {
-        match &self.decision {
-            Some(att) => &att.solution,
-            None => &self.traced.solution,
-        }
-    }
-
-    /// The solution witnesses and renders are read from.
+    /// The solution verdicts, witnesses and renders are read from.
     pub fn traced_solution(&self) -> &Solution {
         &self.traced.solution
     }
@@ -160,20 +122,10 @@ impl LintContext {
             let secret = self.policy.opaque_names().into_iter().collect();
             let (traced, provenance) = analyze_with_attacker_traced(&self.process, &secret);
             let traced_kinds = AbstractKind::compute(&traced.solution, &self.policy);
-            let (decision, decision_kinds) = if self.config.shards > 1 {
-                let att =
-                    analyze_with_attacker_parallel(&self.process, &secret, self.config.shards);
-                let kinds = AbstractKind::compute(&att.solution, &self.policy);
-                (Some(att), kinds)
-            } else {
-                (None, traced_kinds.clone())
-            };
             SemanticCtx {
                 traced,
                 provenance,
                 traced_kinds,
-                decision,
-                decision_kinds,
             }
         })
     }
@@ -292,17 +244,5 @@ mod tests {
         assert!(!witness.is_empty());
         assert!(witness[0].rule.contains("production"), "{:?}", witness[0]);
         assert!(witness.last().unwrap().detail.contains("κ(c)"));
-    }
-
-    #[test]
-    fn sharded_config_builds_a_separate_decision_solution() {
-        let p = parse_process("(new m) c<m>.0").unwrap();
-        let policy = Policy::with_secrets(["m"]);
-        let cfg = LintConfig {
-            shards: 4,
-            ..LintConfig::default()
-        };
-        let ctx = LintContext::with_config(&p, &policy, cfg);
-        assert!(ctx.semantic().decision.is_some());
     }
 }

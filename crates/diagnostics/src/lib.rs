@@ -27,9 +27,7 @@
 //! implementing [`Pass`] and registering it — the driver, renderers and
 //! report ordering never change. Output order is a total order on the
 //! diagnostics themselves (severity, code, span, message), so it is
-//! independent of pass registration order, hashing, label minting, and
-//! solver layout: linting with a sharded solver
-//! ([`LintConfig::shards`]` > 1`) yields byte-identical reports.
+//! independent of pass registration order, hashing, and label minting.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,8 +55,7 @@ pub fn lint(p: &Process, policy: &Policy) -> Vec<Diagnostic> {
     lint_with(p, policy, LintConfig::default())
 }
 
-/// Like [`lint`] with an explicit [`LintConfig`] (solver shards,
-/// exploration budgets).
+/// Like [`lint`] with an explicit [`LintConfig`] (exploration budgets).
 pub fn lint_with(p: &Process, policy: &Policy, config: LintConfig) -> Vec<Diagnostic> {
     let ctx = LintContext::with_config(p, policy, config);
     PassRegistry::with_defaults().run(&ctx)
@@ -76,22 +73,6 @@ mod tests {
         let a = to_json(&lint(&p, &policy));
         let b = to_json(&lint(&p, &policy));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn lint_is_byte_identical_across_shard_counts() {
-        let p = parse_process("(new m) (c<m>.0 | c(x). d<x>.0)").unwrap();
-        let policy = Policy::with_secrets(["m"]);
-        let seq = to_json(&lint(&p, &policy));
-        let par = to_json(&lint_with(
-            &p,
-            &policy,
-            LintConfig {
-                shards: 4,
-                ..LintConfig::default()
-            },
-        ));
-        assert_eq!(seq, par);
     }
 
     #[test]

@@ -20,10 +20,8 @@
 //! `hide` binder — so the historical binary corpus emits byte-identical
 //! reports.
 //!
-//! Verdicts are read off the decision solution of the shared
-//! [`SemanticCtx`](crate::context::SemanticCtx); witnesses always come
-//! from the traced sequential solve. Both have the same production
-//! sets, so the emitted diagnostics do not depend on the solver layout.
+//! Verdicts and witnesses are both read off the one traced solve of the
+//! shared [`SemanticCtx`](crate::context::SemanticCtx).
 
 use crate::context::LintContext;
 use crate::diag::{Diagnostic, Severity, Span, WitnessStep};
@@ -108,7 +106,7 @@ impl Pass for Confinement {
         }
 
         let sem = ctx.semantic();
-        let sol = sem.decision_solution();
+        let sol = sem.traced_solution();
 
         // E004: acceptability re-validation (Table 2, symbolically).
         for v in accept::verify(sol, ctx.process()) {
@@ -134,13 +132,13 @@ impl Pass for Confinement {
             let Some(id) = sol.var_id(FlowVar::Kappa(chan)) else {
                 continue;
             };
-            if !sem.decision_kinds.facts(id).may_secret {
+            if !sem.traced_kinds.facts(id).may_secret {
                 continue;
             }
             let fv = FlowVar::Kappa(chan);
             let mut witness = Vec::new();
             if let Some(prod) = secret_witness_prod(ctx, fv) {
-                let rendered = sem.traced_solution().render_production(&prod, 4);
+                let rendered = sol.render_production(&prod, 4);
                 witness.push(WitnessStep {
                     rule: "kind classification (Definition 2)",
                     detail: format!("kind({rendered}) = S under the declared policy"),
@@ -261,17 +259,11 @@ impl Pass for Invariance {
         if !mentioned.contains(&n_star()) {
             return Vec::new(); // nothing is being tracked
         }
-        let sem = ctx.semantic();
-        let decision_sorts = AbstractSort::compute(sem.decision_solution(), n_star());
-        let traced_sorts = if sem.decision.is_some() {
-            AbstractSort::compute(sem.traced_solution(), n_star())
-        } else {
-            decision_sorts.clone()
-        };
-        let violations = invariance(ctx.process(), sem.decision_solution(), &decision_sorts);
-        violations
+        let sol = ctx.semantic().traced_solution();
+        let sorts = AbstractSort::compute(sol, n_star());
+        invariance(ctx.process(), sol, &sorts)
             .into_iter()
-            .map(|v| self.diagnose(ctx, &traced_sorts, v))
+            .map(|v| self.diagnose(ctx, &sorts, v))
             .collect()
     }
 }
@@ -280,7 +272,7 @@ impl Invariance {
     fn diagnose(
         &self,
         ctx: &LintContext,
-        traced_sorts: &AbstractSort,
+        sorts: &AbstractSort,
         v: InvarianceViolation,
     ) -> Diagnostic {
         let sem = ctx.semantic();
@@ -292,7 +284,7 @@ impl Invariance {
             let mut ps: Vec<&Prod> = sol
                 .prods_of(fv)
                 .iter()
-                .filter(|p| traced_sorts.facts_of_prod(p).may_exposed)
+                .filter(|p| sorts.facts_of_prod(p).may_exposed)
                 .collect();
             ps.sort_by_cached_key(|p| sol.render_production(p, 4));
             ps.first().map(|p| (*p).clone())
@@ -393,8 +385,7 @@ impl Pass for HiddenEscape {
             return Vec::new(); // hide-free processes never pay for this pass
         }
         let mut out = Vec::new();
-        let sem = ctx.semantic();
-        let sol = sem.decision_solution();
+        let sol = ctx.semantic().traced_solution();
         for chan in sol.channels() {
             if !ctx.policy().is_public(chan) {
                 continue;
@@ -460,14 +451,8 @@ impl Pass for GradedFlow {
         let lat = policy.lattice();
         let clearance = policy.clearance();
         let mut out = Vec::new();
-        let sem = ctx.semantic();
-        let sol = sem.decision_solution();
+        let sol = ctx.semantic().traced_solution();
         let levels = AbstractLevel::compute(sol, policy);
-        let traced_levels = if sem.decision.is_some() {
-            AbstractLevel::compute(sem.traced_solution(), policy)
-        } else {
-            levels.clone()
-        };
         for chan in sol.channels() {
             let observable = lat.leq(policy.level_of(chan), clearance) || chan == attacker_name();
             if !observable {
@@ -487,8 +472,8 @@ impl Pass for GradedFlow {
                         lat.show(clearance)
                     ),
                 }];
-                if let Some(prod) = graded_witness_prod(ctx, &traced_levels, fv, clearance) {
-                    let rendered = sem.traced_solution().render_production(&prod, 4);
+                if let Some(prod) = graded_witness_prod(ctx, &levels, fv, clearance) {
+                    let rendered = sol.render_production(&prod, 4);
                     witness.push(WitnessStep {
                         rule: "level classification (Definition 2, graded)",
                         detail: format!("level({rendered}) escapes the clearance"),
@@ -529,7 +514,7 @@ impl Pass for GradedFlow {
 /// [`secret_witness_prod`].
 fn graded_witness_prod(
     ctx: &LintContext,
-    traced_levels: &AbstractLevel,
+    levels: &AbstractLevel,
     fv: FlowVar,
     clearance: nuspi_security::Level,
 ) -> Option<Prod> {
@@ -540,12 +525,7 @@ fn graded_witness_prod(
     let mut candidates: Vec<&Prod> = sol
         .prods_of(fv)
         .iter()
-        .filter(|p| {
-            !traced_levels
-                .facts_of_prod(p, policy)
-                .minus(observable)
-                .is_empty()
-        })
+        .filter(|p| !levels.facts_of_prod(p, policy).minus(observable).is_empty())
         .collect();
     candidates.sort_by_cached_key(|p| {
         let interesting = match p {
@@ -561,7 +541,7 @@ fn graded_witness_prod(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::{LintConfig, LintContext};
+    use crate::context::LintContext;
     use crate::registry::PassRegistry;
     use nuspi_security::Policy;
     use nuspi_syntax::parse_process;
@@ -697,22 +677,5 @@ mod tests {
         let ctx = LintContext::new(&p, &policy);
         let d = PassRegistry::with_defaults().run(&ctx);
         assert!(!d.iter().any(|d| d.severity == Severity::Error), "{d:?}");
-    }
-
-    #[test]
-    fn diagnostics_agree_across_solver_layouts() {
-        let p = parse_process("(new m) (c<m>.0 | c(x). d<x>.0)").unwrap();
-        let policy = Policy::with_secrets(["m"]);
-        let seq = LintContext::new(&p, &policy);
-        let par = LintContext::with_config(
-            &p,
-            &policy,
-            LintConfig {
-                shards: 4,
-                ..LintConfig::default()
-            },
-        );
-        let r = PassRegistry::with_defaults();
-        assert_eq!(r.run(&seq), r.run(&par));
     }
 }

@@ -18,11 +18,9 @@ use crate::cache::{ByteLru, CacheCounters};
 use crate::exec::{prepare, Prepared, Runner};
 use crate::pool::{lock, WorkerPool};
 use crate::request::{error_body, Envelope, Request, Response};
-use nuspi_cfa::{IncrementalSolver, IncrementalStats, Solution};
 use nuspi_equiv::EquivConfig;
 use nuspi_security::IntruderConfig;
 use nuspi_semantics::ExecConfig;
-use nuspi_syntax::Process;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
@@ -146,78 +144,6 @@ struct Counters {
     uncacheable: AtomicU64,
 }
 
-/// Meters of the engine's persistent incremental solver. Counted per
-/// *solver run*: a `solve_incremental` request answered from the
-/// response cache never reaches the solver and leaves these untouched.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IncrementalMeters {
-    /// Incremental solver runs.
-    pub calls: u64,
-    /// Top-level components across all runs.
-    pub components: u64,
-    /// Components whose isolated solution was reused from the cache.
-    pub reuse_hits: u64,
-    /// Components solved in isolation (cache misses).
-    pub reuse_misses: u64,
-    /// Runs that short-circuited on the digest-identical no-op path.
-    pub noops: u64,
-}
-
-/// The engine's shared incremental solver plus its meters. One mutex
-/// guards the solver state; the meters are lock-free so [`stats`] never
-/// waits behind a solve.
-///
-/// [`stats`]: AnalysisEngine::stats
-pub(crate) struct IncrementalState {
-    solver: Mutex<IncrementalSolver>,
-    calls: AtomicU64,
-    components: AtomicU64,
-    reuse_hits: AtomicU64,
-    reuse_misses: AtomicU64,
-    noops: AtomicU64,
-}
-
-impl IncrementalState {
-    pub(crate) fn new(threads: usize) -> IncrementalState {
-        IncrementalState {
-            solver: Mutex::new(IncrementalSolver::new(threads)),
-            calls: AtomicU64::new(0),
-            components: AtomicU64::new(0),
-            reuse_hits: AtomicU64::new(0),
-            reuse_misses: AtomicU64::new(0),
-            noops: AtomicU64::new(0),
-        }
-    }
-
-    /// Runs the shared solver and meters the reuse accounting. Every
-    /// meter delta comes from one [`IncrementalStats`], so after any
-    /// quiescent point `reuse_hits + reuse_misses == components`.
-    pub(crate) fn solve(&self, p: &Process) -> (Solution, IncrementalStats) {
-        let (solution, stats) = lock(&self.solver).solve(p);
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        self.components
-            .fetch_add(stats.components as u64, Ordering::Relaxed);
-        self.reuse_hits
-            .fetch_add(stats.reuse_hits as u64, Ordering::Relaxed);
-        self.reuse_misses
-            .fetch_add(stats.reuse_misses as u64, Ordering::Relaxed);
-        if stats.noop {
-            self.noops.fetch_add(1, Ordering::Relaxed);
-        }
-        (solution, stats)
-    }
-
-    fn meters(&self) -> IncrementalMeters {
-        IncrementalMeters {
-            calls: self.calls.load(Ordering::Relaxed),
-            components: self.components.load(Ordering::Relaxed),
-            reuse_hits: self.reuse_hits.load(Ordering::Relaxed),
-            reuse_misses: self.reuse_misses.load(Ordering::Relaxed),
-            noops: self.noops.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// A point-in-time snapshot of the engine's meters.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EngineStats {
@@ -241,8 +167,6 @@ pub struct EngineStats {
     pub deadline_expirations: u64,
     /// Requests that could not be cached (parse errors, debug jobs).
     pub uncacheable: u64,
-    /// Reuse accounting of the persistent incremental solver.
-    pub incremental: IncrementalMeters,
     /// Meters of the tier-two store, when one is attached.
     pub store: Option<StoreMeters>,
 }
@@ -267,7 +191,6 @@ pub struct AnalysisEngine {
     pool: WorkerPool,
     cache: Arc<Mutex<ByteLru>>,
     counters: Arc<Counters>,
-    incremental: Arc<IncrementalState>,
     store: Option<Arc<dyn TierTwoCache>>,
 }
 
@@ -301,7 +224,6 @@ impl AnalysisEngine {
             pool: WorkerPool::new(jobs),
             cache,
             counters: Arc::new(Counters::default()),
-            incremental: Arc::new(IncrementalState::new(jobs)),
             cfg,
             store: None,
         }
@@ -352,7 +274,7 @@ impl AnalysisEngine {
             request,
             deadline,
         } = envelope;
-        let Prepared { op, key, run } = prepare(&request, &self.cfg, &self.incremental);
+        let Prepared { op, key, run } = prepare(&request, &self.cfg);
         if let Some(key) = key {
             if let Some(body) = lock(&self.cache).get(key) {
                 self.counters.completed.fetch_add(1, Ordering::Relaxed);
@@ -482,7 +404,6 @@ impl AnalysisEngine {
             job_panics: self.counters.job_panics.load(Ordering::Relaxed),
             deadline_expirations: self.counters.deadline_expirations.load(Ordering::Relaxed),
             uncacheable: self.counters.uncacheable.load(Ordering::Relaxed),
-            incremental: self.incremental.meters(),
             store: self.store.as_ref().map(|s| s.meters()),
         }
     }

@@ -21,7 +21,7 @@
 //! so a body is byte-identical whether computed fresh, served from the
 //! cache, or produced under a different worker count.
 
-use crate::engine::{EngineConfig, IncrementalState};
+use crate::engine::EngineConfig;
 use crate::jsonio::escape;
 use crate::request::{error_body, ProcessInput, Request};
 use nuspi_diagnostics::{lint_with, to_json_compact, LintConfig};
@@ -30,7 +30,6 @@ use nuspi_syntax::{canonical_digest, parse_process, Process, StableHasher128, Sy
 use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::hash::Hasher as _;
-use std::sync::Arc;
 
 /// Version of the cache-key schema. Bump when the key derivation or any
 /// body layout changes, so stale entries from an older engine can never
@@ -82,8 +81,11 @@ fn sorted_secrets(secrets: &[String]) -> Vec<String> {
     s
 }
 
-/// Derives the content-addressed key. `extras` carries the op-specific
-/// scalar parameters; `strings` the op-specific string parameters (each
+/// Derives the content-addressed key. `op_tag` numbers the op (1 audit,
+/// 2 lint, 3 solve, 4 reveals, 6 analyze_source, 7 equiv); tag 5 belonged
+/// to a retired op and is never reused, because persisted store entries
+/// may still carry it. `extras` carries the op-specific scalar
+/// parameters; `strings` the op-specific string parameters (each
 /// absorbed length-prefixed by `write`, so concatenations can't collide).
 fn derive_key(
     op_tag: u8,
@@ -154,14 +156,8 @@ fn runner(
     }
 }
 
-/// Prepares `request` for execution under `cfg`. `incremental` is the
-/// engine's persistent incremental solver, shared by every
-/// [`Request::SolveIncremental`] job.
-pub(crate) fn prepare(
-    request: &Request,
-    cfg: &EngineConfig,
-    incremental: &Arc<IncrementalState>,
-) -> Prepared {
+/// Prepares `request` for execution under `cfg`.
+pub(crate) fn prepare(request: &Request, cfg: &EngineConfig) -> Prepared {
     match request {
         Request::Audit { process, secrets } => {
             let op = "audit";
@@ -201,26 +197,17 @@ pub(crate) fn prepare(
                 }
             }
         }
-        Request::Lint {
-            process,
-            secrets,
-            shards,
-        } => {
+        Request::Lint { process, secrets } => {
             let op = "lint";
             let secrets = sorted_secrets(secrets);
-            let shards = (*shards).max(1);
             match parse_input(process) {
                 Err(e) => fail(op, e),
                 Ok(p) => {
-                    // The shard count is *not* part of the key: lint
-                    // reports are byte-identical across solver layouts
-                    // (a tested invariant of nuspi-diagnostics), so all
-                    // layouts share one slot.
                     let key = derive_key(2, &p, &secrets, &[], &[], cfg);
                     let exec = cfg.exec;
                     let run = runner(op, process, p, move |p| {
                         let policy = policy_of(&secrets);
-                        let diags = lint_with(&p, &policy, LintConfig { shards, exec });
+                        let diags = lint_with(&p, &policy, LintConfig { exec });
                         format!(
                             "\"op\":\"lint\",\"status\":\"ok\",\"diagnostics\":{},\"report\":{}",
                             diags.len(),
@@ -345,42 +332,8 @@ pub(crate) fn prepare(
                 }
             }
         }
-        Request::SolveIncremental { process, depth } => {
-            let op = "solve_incremental";
-            let depth = *depth;
-            match parse_input(process) {
-                Err(e) => fail(op, e),
-                Ok(p) => {
-                    // Same key family as `solve`: the body is a pure
-                    // function of the α-class and the render depth —
-                    // reuse accounting is *not* in the body (it depends
-                    // on solver warmth), it lives in the engine meters.
-                    let key = derive_key(5, &p, &[], &[depth as u64], &[], cfg);
-                    let inc = Arc::clone(incremental);
-                    let run = runner(op, process, p, move |p| {
-                        let (solution, stats) = inc.solve(&p);
-                        format!(
-                            "\"op\":\"solve_incremental\",\"status\":\"ok\",\
-                             \"components\":{},\"estimate\":\"{}\"",
-                            stats.components,
-                            escape(&solution.render_estimate_for(&p, depth))
-                        )
-                    });
-                    Prepared {
-                        op,
-                        key: Some(key),
-                        run,
-                    }
-                }
-            }
-        }
-        Request::AnalyzeSource {
-            file,
-            source,
-            shards,
-        } => {
+        Request::AnalyzeSource { file, source } => {
             let op = "analyze_source";
-            let shards = (*shards).max(1);
             match nuspi_lang::compile(file, source) {
                 // Frontend failures are uncacheable error bodies, like
                 // parse failures of the νSPI ops.
@@ -394,9 +347,7 @@ pub(crate) fn prepare(
                     // declaration must re-key (a cached body would point
                     // at the wrong lines of the new file), while a
                     // formatting-only edit that keeps every declaration
-                    // in place still shares the slot. Shards are not in
-                    // the key: reports are byte-identical across solver
-                    // layouts.
+                    // in place still shares the slot.
                     let mut anchors = String::new();
                     for (base, site) in &c.map.sites {
                         let _ = write!(
@@ -415,7 +366,7 @@ pub(crate) fn prepare(
                     // worker recompiles from source, like the νSPI ops
                     // re-parse.
                     let run = Runner::Pooled(Box::new(move || {
-                        let report = nuspi_lang::check_with(&file, &source, shards);
+                        let report = nuspi_lang::check(&file, &source);
                         let errors = report
                             .diags
                             .iter()
@@ -568,10 +519,6 @@ mod tests {
         EngineConfig::default()
     }
 
-    fn prepare(request: &Request, cfg: &EngineConfig) -> Prepared {
-        super::prepare(request, cfg, &Arc::new(IncrementalState::new(1)))
-    }
-
     fn run(p: Prepared) -> String {
         match p.run {
             Runner::Pooled(f) => f(),
@@ -651,33 +598,6 @@ mod tests {
         let mut tight = cfg();
         tight.intruder.max_depth = 2;
         let b = prepare(&Request::audit(src, &["m"]), &tight);
-        assert_ne!(a.key, b.key);
-    }
-
-    #[test]
-    fn incremental_bodies_are_warmth_independent() {
-        // The body must be a pure function of the request: a warm
-        // re-solve (everything reused) renders byte-identically to the
-        // cold one, and matches the plain `solve` estimate.
-        let src = "a<m>.0 | a(x).b<x>.0 | c<{m, new r}:k>.0 \
-                   | c(z). case z of {y}:k in d<y>.0";
-        let state = Arc::new(IncrementalState::new(2));
-        let req = Request::solve_incremental(src);
-        let cold = run(super::prepare(&req, &cfg(), &state));
-        let warm = run(super::prepare(&req, &cfg(), &state));
-        assert_eq!(cold, warm);
-        assert!(cold.contains("\"components\":4"), "{cold}");
-        let plain = run(prepare(&Request::solve(src), &cfg()));
-        let estimate = |body: &str| {
-            body.split("\"estimate\":\"")
-                .nth(1)
-                .map(str::to_owned)
-                .expect("estimate field")
-        };
-        assert_eq!(estimate(&cold), estimate(&plain));
-        // Distinct op tag: never shares a cache slot with plain solve.
-        let a = super::prepare(&req, &cfg(), &state);
-        let b = prepare(&Request::solve(src), &cfg());
         assert_ne!(a.key, b.key);
     }
 
@@ -786,7 +706,6 @@ mod tests {
             Request::audit(src, &["m", "k"]),
             Request::lint(src, &["m", "k"]),
             Request::solve(src),
-            Request::solve_incremental(src),
             Request::reveals(src, &["m", "k"], "m"),
             Request::equiv(src, "(new m2) c<{m2, new r}:k>.0"),
         ] {

@@ -66,9 +66,6 @@ pub enum Request {
         process: ProcessInput,
         /// Canonical names declared secret.
         secrets: Vec<String>,
-        /// Solver shards (`1` = sequential; diagnostics are identical
-        /// either way).
-        shards: usize,
     },
     /// The bare CFA least solution, optionally composed with the most
     /// powerful public attacker.
@@ -94,18 +91,6 @@ pub enum Request {
         /// public free names).
         known: Vec<String>,
     },
-    /// The CFA least solution computed by the engine's persistent
-    /// [`IncrementalSolver`](nuspi_cfa::IncrementalSolver): unchanged
-    /// top-level components are reused from the per-component solution
-    /// cache, so re-solving an edited process only saturates the dirty
-    /// frontier. The estimate is identical to [`Request::Solve`] without
-    /// attacker composition.
-    SolveIncremental {
-        /// The process to solve.
-        process: ProcessInput,
-        /// Tree-render depth of the reported estimate.
-        depth: usize,
-    },
     /// The annotated-source frontend (`nuspi-lang`): compile a Go-ish
     /// `.nu` program down to νSPI and run the full lint pipeline,
     /// rendering source-anchored diagnostics. Cached on the α-invariant
@@ -116,9 +101,6 @@ pub enum Request {
         file: String,
         /// The annotated source text.
         source: String,
-        /// Solver shards (`1` = sequential; diagnostics are identical
-        /// either way).
-        shards: usize,
     },
     /// The dynamic backend: bounded hedged-bisimilarity of two closed
     /// processes ([`nuspi_equiv::check`]), with every free name of
@@ -147,12 +129,11 @@ impl Request {
         }
     }
 
-    /// A lint request over source text (sequential solver).
+    /// A lint request over source text.
     pub fn lint(src: &str, secrets: &[&str]) -> Request {
         Request::Lint {
             process: src.into(),
             secrets: secrets.iter().map(|s| (*s).to_owned()).collect(),
-            shards: 1,
         }
     }
 
@@ -162,14 +143,6 @@ impl Request {
             process: src.into(),
             secrets: Vec::new(),
             attacker: false,
-            depth: 3,
-        }
-    }
-
-    /// An incremental solve request over source text.
-    pub fn solve_incremental(src: &str) -> Request {
-        Request::SolveIncremental {
-            process: src.into(),
             depth: 3,
         }
     }
@@ -192,12 +165,11 @@ impl Request {
         }
     }
 
-    /// An annotated-source analysis request (sequential solver).
+    /// An annotated-source analysis request.
     pub fn analyze_source(file: &str, source: &str) -> Request {
         Request::AnalyzeSource {
             file: file.to_owned(),
             source: source.to_owned(),
-            shards: 1,
         }
     }
 
@@ -208,7 +180,6 @@ impl Request {
             Request::Lint { .. } => "lint",
             Request::Solve { .. } => "solve",
             Request::Reveals { .. } => "reveals",
-            Request::SolveIncremental { .. } => "solve_incremental",
             Request::AnalyzeSource { .. } => "analyze_source",
             Request::Equiv { .. } => "equiv",
             Request::DebugPanic => "debug-panic",

@@ -6,19 +6,17 @@
 //! ← {"id":"r1","op":"audit","status":"ok","secure":true,...}
 //! ```
 //!
-//! Ops mirror [`Request`]: `audit`, `lint`, `solve`, `solve_incremental`
-//! (the persistent per-component solution cache; ideal for re-analysing
-//! an edited protocol over a long session), `reveals`, `analyze_source`
-//! (the annotated-source `nuspi-lang` frontend: a `source` program plus
-//! optional `file` and `shards`), `equiv` (bounded hedged-bisimilarity
-//! of a `left` and a `right` process) — plus `batch` (a
-//! `requests` array answered as one line per element, in order) and
+//! Ops mirror [`Request`]: `audit`, `lint`, `solve`, `reveals`,
+//! `analyze_source` (the annotated-source `nuspi-lang` frontend: a
+//! `source` program plus an optional `file`), `equiv` (bounded
+//! hedged-bisimilarity of a `left` and a `right` process) — plus `batch`
+//! (a `requests` array answered as one line per element, in order) and
 //! `stats` (the engine's meters; the only op whose body is not a pure
-//! function of the request, so it is never cached). Every
-//! request may carry an `id` (echoed back) and a `deadline_ms`. A
-//! malformed line is answered with an error line rather than ending the
-//! session; end of input shuts the engine down gracefully (in-flight
-//! jobs finish, workers join).
+//! function of the request, so it is never cached). Every request may
+//! carry an `id` (echoed back) and a `deadline_ms`; fields an op does not
+//! read are ignored. A malformed line or an unknown op is answered with
+//! an error line rather than ending the session; end of input shuts the
+//! engine down gracefully (in-flight jobs finish, workers join).
 
 use crate::engine::{AnalysisEngine, EngineStats};
 use crate::jsonio::Json;
@@ -68,14 +66,6 @@ fn decode_envelope(v: &Json) -> Result<Envelope, String> {
         "lint" => Request::Lint {
             process: process()?.as_str().into(),
             secrets: str_list(v, "secrets")?,
-            shards: v
-                .get("shards")
-                .map(|s| {
-                    s.as_u64()
-                        .ok_or_else(|| "`shards` must be a non-negative integer".to_owned())
-                })
-                .transpose()?
-                .unwrap_or(1) as usize,
         },
         "solve" => Request::Solve {
             process: process()?.as_str().into(),
@@ -90,29 +80,10 @@ fn decode_envelope(v: &Json) -> Result<Envelope, String> {
                 .transpose()?
                 .unwrap_or(3) as usize,
         },
-        "solve_incremental" => Request::SolveIncremental {
-            process: process()?.as_str().into(),
-            depth: v
-                .get("depth")
-                .map(|d| {
-                    d.as_u64()
-                        .ok_or_else(|| "`depth` must be a non-negative integer".to_owned())
-                })
-                .transpose()?
-                .unwrap_or(3) as usize,
-        },
         "analyze_source" => Request::AnalyzeSource {
             file: opt_str(v, "file").unwrap_or_else(|| "<input>".to_owned()),
             source: opt_str(v, "source")
                 .ok_or_else(|| "op `analyze_source` requires a `source` string".to_owned())?,
-            shards: v
-                .get("shards")
-                .map(|s| {
-                    s.as_u64()
-                        .ok_or_else(|| "`shards` must be a non-negative integer".to_owned())
-                })
-                .transpose()?
-                .unwrap_or(1) as usize,
         },
         "equiv" => Request::Equiv {
             left: opt_str(v, "left")
@@ -194,21 +165,11 @@ fn stats_body(s: &EngineStats) -> String {
     );
     let _ = write!(
         out,
-        "\"hit_rate\":{:.3},\"job_panics\":{},\"deadline_expirations\":{},\"uncacheable\":{},",
+        "\"hit_rate\":{:.3},\"job_panics\":{},\"deadline_expirations\":{},\"uncacheable\":{}",
         s.hit_rate(),
         s.job_panics,
         s.deadline_expirations,
         s.uncacheable
-    );
-    let _ = write!(
-        out,
-        "\"incremental\":{{\"calls\":{},\"components\":{},\"reuse_hits\":{},\
-         \"reuse_misses\":{},\"noops\":{}}}",
-        s.incremental.calls,
-        s.incremental.components,
-        s.incremental.reuse_hits,
-        s.incremental.reuse_misses,
-        s.incremental.noops
     );
     // The store section appears only with a tier-two store attached,
     // so plain-pipe transcripts stay byte-identical to earlier builds.
@@ -368,12 +329,42 @@ mod tests {
     fn malformed_lines_get_error_lines_and_the_session_continues() {
         let lines = run(
             &engine(),
-            "this is not json\n{\"op\":\"nonsense\"}\n{\"op\":\"solve\",\"process\":\"0\"}\n",
+            "this is not json\n{\"op\":\"nonsense\"}\n\
+             {\"id\":\"i1\",\"op\":\"solve_incremental\",\"process\":\"a<m>.0\"}\n\
+             {\"op\":\"solve\",\"process\":\"0\"}\n",
         );
-        assert_eq!(lines.len(), 3);
+        assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("\"status\":\"error\""));
         assert!(lines[1].contains("unknown op"));
-        assert!(lines[2].contains("\"status\":\"ok\""));
+        // A retired op is just another unknown op.
+        assert!(lines[2].starts_with("{\"id\":\"i1\""), "{}", lines[2]);
+        assert!(lines[2].contains("unknown op"), "{}", lines[2]);
+        assert!(lines[3].contains("\"status\":\"ok\""));
+    }
+
+    #[test]
+    fn a_huge_shards_field_is_ignored_like_any_unknown_field() {
+        // Each request carrying `shards` is followed by another request;
+        // the session must answer every line exactly once, with bodies
+        // byte-identical to the same requests without the field.
+        let lint = "{\"id\":\"l\",\"op\":\"lint\",\"process\":\"(new m) c<m>.0\",\
+                    \"secrets\":[\"m\"]";
+        let source = "{\"id\":\"a\",\"op\":\"analyze_source\",\"file\":\"f.nu\",\
+                      \"source\":\"func main() {\\n  ch := make(chan)\\n  ch <- 1\\n}\\n\"";
+        let next = "{\"id\":\"n\",\"op\":\"solve\",\"process\":\"c<n>.0\"}\n";
+        let session = |extra: &str| {
+            run(
+                &engine(),
+                &format!("{lint}{extra}}}\n{next}{source}{extra}}}\n{next}"),
+            )
+        };
+        let with = session(",\"shards\":1099511627776");
+        let without = session("");
+        assert_eq!(with.len(), 4, "{with:?}");
+        assert_eq!(with, without);
+        for line in &with {
+            assert!(line.contains("\"status\":\"ok\""), "{line}");
+        }
     }
 
     #[test]
@@ -442,30 +433,6 @@ mod tests {
         );
         assert!(stats.contains("\"hits\":1"), "{stats}");
         assert!(stats.contains("\"misses\":1"), "{stats}");
-        Json::parse(stats).unwrap();
-    }
-
-    #[test]
-    fn solve_incremental_op_round_trips_and_meters_reuse() {
-        let e = engine();
-        let input = "{\"id\":\"a\",\"op\":\"solve_incremental\",\
-                     \"process\":\"a<m>.0 | a(x).b<x>.0\"}\n\
-                     {\"id\":\"b\",\"op\":\"solve_incremental\",\
-                     \"process\":\"a<m>.0 | a(x).c<x>.0\"}\n\
-                     {\"id\":\"s\",\"op\":\"stats\"}\n";
-        let lines = run(&e, input);
-        assert_eq!(lines.len(), 3);
-        for line in &lines[..2] {
-            assert!(line.contains("\"op\":\"solve_incremental\""), "{line}");
-            assert!(line.contains("\"status\":\"ok\""), "{line}");
-            assert!(line.contains("\"components\":2"), "{line}");
-            Json::parse(line).unwrap();
-        }
-        // The edit kept the `a<m>.0` component: one reuse hit.
-        let stats = &lines[2];
-        assert!(stats.contains("\"incremental\":{\"calls\":2"), "{stats}");
-        assert!(stats.contains("\"reuse_hits\":1"), "{stats}");
-        assert!(stats.contains("\"reuse_misses\":3"), "{stats}");
         Json::parse(stats).unwrap();
     }
 

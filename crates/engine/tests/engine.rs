@@ -35,7 +35,6 @@ fn suite_requests() -> Vec<Request> {
         out.push(Request::Lint {
             process: ProcessInput::Source(spec.source.clone()),
             secrets,
-            shards: 1,
         });
     }
     for ex in open_examples() {
@@ -50,7 +49,6 @@ fn suite_requests() -> Vec<Request> {
         out.push(Request::Lint {
             process: ProcessInput::Parsed(tracked),
             secrets,
-            shards: 1,
         });
     }
     assert_eq!(out.len(), 25, "the suite grew; update the tests");

@@ -1,10 +1,9 @@
 //! Concurrency stress: large mixed batches — cacheable analyses,
-//! incremental re-solves against the engine's persistent component
-//! cache, injected worker panics, and nanosecond deadlines — across
-//! several pool widths. The pool must never wedge, the engine's meters
-//! (cache and incremental alike) must add up exactly, and a parallel
-//! batch must produce byte-identical bodies to the same requests run
-//! serially on a one-worker engine.
+//! injected worker panics, and nanosecond deadlines — across several
+//! pool widths. The pool must never wedge, the engine's cache meters
+//! must add up exactly, and a parallel batch must produce
+//! byte-identical bodies to the same requests run serially on a
+//! one-worker engine.
 
 use nuspi_engine::{AnalysisEngine, Envelope, Request};
 use std::time::Duration;
@@ -18,17 +17,8 @@ fn source(i: usize) -> String {
     format!("(new m{k}) (new key{k}) (c<{{m{k}, new r}}:key{k}>.0 | c(x). case x of {{y}}:key{k} in d<y>.0)")
 }
 
-/// Incremental workloads: three corpora built from overlapping session
-/// fragments, so the persistent incremental solver sees genuine
-/// cross-request component reuse.
-fn incremental_source(i: usize) -> String {
-    let j = i % 3;
-    format!("a{j}<m>.0 | a{j}(x). b{j}<x>.0 | shared<tok>.0 | shared(y). sink<y>.0")
-}
-
-/// The deterministic part of the workload: analyses, incremental
-/// re-solves and injected panics, no deadlines (deadline outcomes
-/// depend on scheduling).
+/// The deterministic part of the workload: analyses and injected
+/// panics, no deadlines (deadline outcomes depend on scheduling).
 fn deterministic_envelopes() -> Vec<Envelope> {
     (0..N)
         .map(|i| {
@@ -39,7 +29,6 @@ fn deterministic_envelopes() -> Vec<Envelope> {
                 3 => Request::DebugPanic,
                 0 | 4 => Request::audit(&src, &secrets),
                 1 | 5 => Request::lint(&src, &secrets),
-                6 => Request::solve_incremental(&incremental_source(i)),
                 _ => Request::solve(&src),
             };
             Envelope::from(req).with_id(format!("r{i}"))
@@ -117,27 +106,6 @@ fn mixed_batches_do_not_wedge_across_pool_widths() {
         assert!(stats.deadline_expirations <= deadlines, "jobs={jobs}");
         assert!(stats.cache.hits > 0, "jobs={jobs}: repeats must hit");
 
-        // Incremental meters: every component a solver run saw was
-        // either reused or re-derived — no third bucket, no loss — and
-        // repeats served from the engine cache never reach the solver,
-        // so calls is bounded by the distinct incremental sources times
-        // at most one concurrent duplicate miss each.
-        let inc = stats.incremental;
-        assert_eq!(
-            inc.reuse_hits + inc.reuse_misses,
-            inc.components,
-            "jobs={jobs}: incremental meter accounting must be exact: {inc:?}"
-        );
-        assert!(inc.calls >= 1, "jobs={jobs}: incremental requests ran");
-        assert!(
-            inc.calls <= (N / 8) as u64,
-            "jobs={jobs}: engine-cache repeats must not reach the solver: {inc:?}"
-        );
-        assert!(
-            inc.reuse_hits > 0,
-            "jobs={jobs}: overlapping corpora must reuse components: {inc:?}"
-        );
-
         // No wedge: the pool still answers fresh work afterwards.
         let after = engine.submit(Request::solve("(new fresh) c<fresh>.0"));
         assert!(after.is_ok(), "jobs={jobs}: pool wedged: {}", after.body);
@@ -164,61 +132,6 @@ fn parallel_batch_is_byte_identical_to_serial() {
             w.id
         );
     }
-}
-
-#[test]
-fn incremental_meters_account_exactly_under_serial_submission() {
-    let engine = AnalysisEngine::with_jobs(2);
-
-    // Three distinct corpora, submitted serially so no concurrent
-    // duplicate can double-run: one solver call each.
-    for i in 0..3 {
-        let r = engine.submit(Request::solve_incremental(&incremental_source(i)));
-        assert!(r.is_ok(), "{}", r.body);
-        assert!(!r.cached);
-    }
-    let inc = engine.stats().incremental;
-    assert_eq!(inc.calls, 3);
-    assert_eq!(inc.reuse_hits + inc.reuse_misses, inc.components);
-    // Corpus 0 misses all 4 components; corpora 1 and 2 reuse the two
-    // shared ones and derive their two private ones.
-    assert_eq!(inc.components, 12);
-    assert_eq!(inc.reuse_misses, 8);
-    assert_eq!(inc.reuse_hits, 4);
-    assert_eq!(inc.noops, 0);
-
-    // Verbatim resubmission: engine-cache hit, solver untouched.
-    let r = engine.submit(Request::solve_incremental(&incremental_source(0)));
-    assert!(r.cached);
-    assert_eq!(engine.stats().incremental, inc);
-
-    // The same *labelled tree* at two fresh render depths (fresh engine
-    // keys, so both reach the solver): the first re-stitches corpus 0
-    // entirely from cached components; the second is digest- and
-    // label-identical to the solver's previous call and must take the
-    // no-op fast path. (A re-parsed Source gets fresh labels, which is
-    // why Parsed input is needed to observe the no-op through the
-    // engine.)
-    let p0 = nuspi_syntax::parse_process(&incremental_source(0)).unwrap();
-    for (depth, want_noops) in [(5usize, 0u64), (6, 1)] {
-        let r = engine.submit(Request::SolveIncremental {
-            process: nuspi_engine::ProcessInput::Parsed(p0.clone()),
-            depth,
-        });
-        assert!(r.is_ok() && !r.cached, "{}", r.body);
-        assert_eq!(engine.stats().incremental.noops, want_noops);
-    }
-    let after = engine.stats().incremental;
-    assert_eq!(after.calls, 5);
-    assert_eq!(
-        after.reuse_misses, inc.reuse_misses,
-        "everything was cached"
-    );
-    assert_eq!(
-        after.reuse_hits + after.reuse_misses,
-        after.components,
-        "no-op runs must keep the accounting exact: {after:?}"
-    );
 }
 
 #[test]

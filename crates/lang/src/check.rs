@@ -3,7 +3,7 @@
 //! program.
 //!
 //! [`compile`] goes source → process + policy + [`SourceMap`];
-//! [`check_with`] runs the full lint pipeline over the result and
+//! [`check`] runs the full lint pipeline over the result and
 //! resolves each diagnostic's witness against the source map, producing
 //! [`SourcedDiagnostic`]s whose *origin* (the labeled/secret
 //! declaration the leaked datum came from) and *sink* (the
@@ -15,13 +15,13 @@
 //! Rendering follows the repo conventions: a rustc-style text report
 //! and a byte-stable JSON document (pretty and single-line compact
 //! forms differing only in whitespace). Reports are byte-identical
-//! across runs and solver shard counts, because the underlying lint is.
+//! across runs, because the underlying lint is.
 
 use crate::error::LangError;
 use crate::lower::lower;
 use crate::parser::parse;
 use crate::srcmap::{Role, SourceMap};
-use nuspi_diagnostics::{lint_with, Diagnostic, LintConfig, Severity, Span};
+use nuspi_diagnostics::{lint, Diagnostic, Severity, Span};
 use nuspi_security::{Policy, SecLattice};
 use nuspi_syntax::Process;
 use std::fmt::Write as _;
@@ -144,11 +144,6 @@ pub struct CheckReport {
     pub diags: Vec<SourcedDiagnostic>,
 }
 
-/// [`check_with`] with a sequential (1-shard) solver.
-pub fn check(file: &str, src: &str) -> CheckReport {
-    check_with(file, src, 1)
-}
-
 /// Programs whose lowering expanded more statements than this are
 /// analysed on a dedicated wide-stack thread: the lint passes recurse
 /// over the term, a deep term can outgrow the caller's stack, and a
@@ -160,8 +155,7 @@ const WIDE_STACK_STMTS: usize = 128;
 const WIDE_STACK_BYTES: usize = 64 * 1024 * 1024;
 
 /// Compiles and analyses `src`, anchoring every diagnostic to source.
-/// Reports are byte-identical for any `shards >= 1`.
-pub fn check_with(file: &str, src: &str, shards: usize) -> CheckReport {
+pub fn check(file: &str, src: &str) -> CheckReport {
     let compiled = match compile(file, src) {
         Ok(c) => c,
         Err(e) => {
@@ -179,7 +173,7 @@ pub fn check_with(file: &str, src: &str, shards: usize) -> CheckReport {
         }
     };
     if compiled.stmts <= WIDE_STACK_STMTS {
-        return check_compiled(file, &compiled, shards);
+        return check_compiled(file, &compiled);
     }
     // The lowered process is `Rc`-shared and not `Send`, so the wide
     // thread recompiles from source; `compile` itself is iterative over
@@ -193,7 +187,7 @@ pub fn check_with(file: &str, src: &str, shards: usize) -> CheckReport {
         .spawn(move || {
             let compiled =
                 compile(&owned_file, &owned_src).expect("source compiled on the calling thread");
-            check_compiled(&owned_file, &compiled, shards)
+            check_compiled(&owned_file, &compiled)
         })
         .expect("spawn wide-stack check thread");
     match handle.join() {
@@ -202,17 +196,10 @@ pub fn check_with(file: &str, src: &str, shards: usize) -> CheckReport {
     }
 }
 
-/// The analysis half of [`check_with`]: lint the compiled program and
+/// The analysis half of [`check`]: lint the compiled program and
 /// anchor every diagnostic.
-fn check_compiled(file: &str, compiled: &Compiled, shards: usize) -> CheckReport {
-    let diags = lint_with(
-        &compiled.process,
-        &compiled.policy,
-        LintConfig {
-            shards: shards.max(1),
-            ..LintConfig::default()
-        },
-    );
+fn check_compiled(file: &str, compiled: &Compiled) -> CheckReport {
+    let diags = lint(&compiled.process, &compiled.policy);
     let insecure = diags.iter().any(|d| d.severity == Severity::Error);
     let diags = diags
         .into_iter()
@@ -672,11 +659,11 @@ mod tests {
     }
 
     #[test]
-    fn json_backends_agree_and_are_stable_across_shards() {
-        let a = check_to_json(&check_with("leak.nu", LEAK, 1));
-        let b = check_to_json(&check_with("leak.nu", LEAK, 4));
+    fn json_backends_agree_and_are_stable_across_runs() {
+        let a = check_to_json(&check("leak.nu", LEAK));
+        let b = check_to_json(&check("leak.nu", LEAK));
         assert_eq!(a, b);
-        let compact = check_to_json_compact(&check_with("leak.nu", LEAK, 1));
+        let compact = check_to_json_compact(&check("leak.nu", LEAK));
         assert!(!compact.contains('\n'));
         let squeeze = |s: &str| s.chars().filter(|c| !c.is_whitespace()).collect::<String>();
         assert_eq!(squeeze(&a), squeeze(&compact));

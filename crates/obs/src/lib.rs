@@ -3,7 +3,7 @@
 //! A zero-dependency observability layer for the nuspi workspace:
 //!
 //! * **spans** — named, timed regions with parent/child nesting tracked
-//!   per thread (`span!("cfa.solve")`, `span!("solve.iterate", shard)`);
+//!   per thread (`span!("cfa.solve")`, `span!("cfa.solve.round", round)`);
 //! * **counters** — monotonic `u64` totals (`counter("engine.cache.hits", 1)`);
 //! * **histograms** — log₂-bucketed microsecond distributions
 //!   (`record_us("engine.queue_wait_us", 42)`);
@@ -314,8 +314,8 @@ impl Drop for Span {
 /// Opens a span; the preferred spelling for instrumentation sites.
 ///
 /// * `span!("cfa.solve")` — no fields;
-/// * `span!("solve.iterate", shard = idx)` — one field;
-/// * `span!("solve.iterate", shard)` — shorthand for `shard = shard`.
+/// * `span!("cfa.solve.round", round = idx)` — one field;
+/// * `span!("cfa.solve.round", round)` — shorthand for `round = round`.
 ///
 /// With a field, the value expression is evaluated **only when the
 /// recorder is enabled**, so disabled tracing allocates nothing.

@@ -5,32 +5,10 @@
 //!
 //! Run with: `cargo run --release --example protocol_suite`
 
-use nuspi::cfa::Constraints;
 use nuspi::protocols::suite;
-use nuspi::{analyze_parallel, solve_suite, Analyzer};
+use nuspi::Analyzer;
 
 fn main() {
-    // Batch-solve the whole suite's CFA up front (solve_suite runs the
-    // specs concurrently) and cross-check each estimate against the
-    // sharded per-process solver.
-    let specs = suite();
-    let batch = solve_suite(
-        specs
-            .iter()
-            .map(|s| Constraints::generate(&s.process))
-            .collect(),
-        4,
-    );
-    for (spec, sol) in specs.iter().zip(&batch) {
-        let sharded = analyze_parallel(&spec.process, 4);
-        sol.estimate_eq(&sharded)
-            .unwrap_or_else(|e| panic!("{}: batch vs sharded estimate drifted: {e}", spec.name));
-    }
-    println!(
-        "CFA: {} protocols batch-solved; sharded solver agrees on every estimate.\n",
-        specs.len()
-    );
-
     println!(
         "{:<26} {:>9} {:>9} {:>8} {:>8}",
         "protocol", "confined", "careful", "attacks", "secure"

@@ -1,17 +1,17 @@
-//! Differential testing of the three solvers.
+//! Differential testing of the solver.
 //!
-//! The optimised solvers — the sequential worklist ([`solve`]) and the
-//! work-stealing parallel solver ([`solve_parallel`] at 1, 2, 4 and 8
-//! threads) — must compute exactly the same estimate `(ρ, κ, ζ)`
-//! as the deliberately naive round-robin reference ([`solve_reference`])
-//! on every input: the protocol suite plus hundreds of seeded random
-//! processes. On flat processes, leastness is additionally re-checked
-//! against the finite-set saturation oracle and the Moore-family meet
-//! (Theorem 2).
+//! The worklist solver ([`solve`]) must compute exactly the same
+//! estimate `(ρ, κ, ζ)` as the deliberately naive round-robin reference
+//! ([`solve_reference`]) on every input: the protocol suite plus
+//! hundreds of seeded random processes. On flat processes, leastness is
+//! additionally re-checked against the finite-set saturation oracle and
+//! the Moore-family meet (Theorem 2). Batch-level parallelism goes
+//! through the engine's worker pool, whose answers must match the
+//! one-at-a-time solves.
 
-use nuspi::cfa::{
-    solve, solve_parallel, solve_reference, solve_suite, Constraints, FiniteEstimate,
-};
+use nuspi::cfa::{solve, solve_reference, Constraints, FiniteEstimate};
+use nuspi::engine::jsonio::Json;
+use nuspi::engine::{AnalysisEngine, Request};
 use nuspi_bench::flatref::{concretize_flat, random_flat_process, saturate_flat};
 use nuspi_bench::genproc::{random_process, GenConfig};
 use nuspi_bench::testkit::{check, ensure, shrink_u64};
@@ -20,43 +20,35 @@ use nuspi_protocols::suite;
 use nuspi_semantics::rng::Rng as _;
 use nuspi_syntax::{Process, Symbol, Value};
 
-/// Solves one labelled process with every solver and checks pairwise
-/// semantic equality of the results.
+/// Solves one labelled process with both solvers and checks semantic
+/// equality of the results.
 fn assert_solvers_agree(p: &Process, ctx: &str) {
     let seq = solve(Constraints::generate(p));
     let refr = solve_reference(Constraints::generate(p));
     seq.estimate_eq(&refr)
         .unwrap_or_else(|e| panic!("{ctx}: sequential vs reference: {e}"));
-    for threads in [1, 2, 4, 8] {
-        let par = solve_parallel(Constraints::generate(p), threads);
-        seq.estimate_eq(&par)
-            .unwrap_or_else(|e| panic!("{ctx}: sequential vs parallel({threads}): {e}"));
-    }
 }
 
 #[test]
-fn property_parallel_matches_reference_at_every_thread_count() {
+fn property_solve_matches_reference() {
     // The testkit variant of the differential wall: 200 fresh seeds per
     // run (shift the stream with NUSPI_TESTKIT_SEED), shrinking a
     // failing seed toward a small reproducer.
     check(
-        "parallel-equals-reference",
+        "solve-equals-reference",
         200,
         |rng| rng.next_u64() % 100_000,
         shrink_u64,
         |seed| {
             let p = random_process(*seed, &GenConfig::default());
             let refr = solve_reference(Constraints::generate(&p));
-            for threads in [1usize, 2, 4, 8] {
-                let par = solve_parallel(Constraints::generate(&p), threads);
-                ensure(refr.estimate_eq(&par).is_ok(), || {
-                    format!(
-                        "seed {seed}: parallel({threads}) disagrees with the reference: {}",
-                        refr.estimate_eq(&par).unwrap_err()
-                    )
-                })?;
-            }
-            Ok(())
+            let seq = solve(Constraints::generate(&p));
+            ensure(refr.estimate_eq(&seq).is_ok(), || {
+                format!(
+                    "seed {seed}: solve disagrees with the reference: {}",
+                    refr.estimate_eq(&seq).unwrap_err()
+                )
+            })
         },
     );
 }
@@ -94,35 +86,41 @@ fn solvers_agree_on_the_protocol_suite() {
 
 #[test]
 fn suite_batch_api_agrees_with_sequential_solves() {
+    // The suite as one engine batch on a four-worker pool: every
+    // rendered estimate must match a one-at-a-time sequential solve.
     let specs = suite();
-    let batch: Vec<Constraints> = specs
-        .iter()
-        .map(|s| Constraints::generate(&s.process))
-        .collect();
-    let sols = solve_suite(batch, 4);
-    for (spec, sol) in specs.iter().zip(&sols) {
+    let engine = AnalysisEngine::with_jobs(4);
+    let responses =
+        engine.submit_requests(specs.iter().map(|s| Request::solve(&s.source)).collect());
+    for (spec, r) in specs.iter().zip(&responses) {
+        let body = Json::parse(&r.to_line()).unwrap();
+        let estimate = body.get("estimate").and_then(Json::as_str);
         let solo = solve(Constraints::generate(&spec.process));
-        solo.estimate_eq(sol)
-            .unwrap_or_else(|e| panic!("{}: batch vs solo: {e}", spec.name));
+        assert_eq!(
+            estimate,
+            Some(solo.render_estimate_for(&spec.process, 3).as_str()),
+            "{}: batch vs solo",
+            spec.name
+        );
     }
 }
 
 #[test]
-fn parallel_solution_is_least_on_flat_processes() {
+fn solution_is_least_on_flat_processes() {
     // Flat processes admit finite estimates, so leastness can be checked
-    // exactly: the parallel solution must equal the naive finite
-    // saturation, sit below padded acceptable estimates, and the padded
-    // estimates must satisfy the Moore-family meet property.
+    // exactly: the solution must equal the naive finite saturation, sit
+    // below padded acceptable estimates, and the padded estimates must
+    // satisfy the Moore-family meet property.
     for seed in 0..60u64 {
         let p = random_flat_process(seed);
-        let par = solve_parallel(Constraints::generate(&p), 4);
-        let least = concretize_flat(&par);
+        let sol = solve(Constraints::generate(&p));
+        let least = concretize_flat(&sol);
         assert!(least.accepts(&p), "seed {seed}: {:?}", least.verify(&p));
 
         let reference = saturate_flat(&p, &FiniteEstimate::new());
         assert!(
             least.leq(&reference) && reference.leq(&least),
-            "seed {seed}: parallel solution ≠ flat saturation"
+            "seed {seed}: solution ≠ flat saturation"
         );
 
         let mut pad1 = FiniteEstimate::new();
@@ -135,27 +133,6 @@ fn parallel_solution_is_least_on_flat_processes() {
         assert!(
             least.leq(&e1) && least.leq(&e2),
             "seed {seed}: least solution must sit below every acceptable estimate"
-        );
-    }
-}
-
-#[test]
-fn thread_count_does_not_change_the_estimate_only_the_sharding() {
-    // Same process, growing shard counts (including more shards than
-    // variables would warrant): always the same estimate, and the shard
-    // partition always covers the variables exactly once.
-    let p = random_process(7, &GenConfig::default());
-    let base = solve_parallel(Constraints::generate(&p), 1);
-    for threads in [2, 3, 5, 8, 16] {
-        let sol = solve_parallel(Constraints::generate(&p), threads);
-        base.estimate_eq(&sol)
-            .unwrap_or_else(|e| panic!("{threads} threads: {e}"));
-        let st = sol.stats();
-        assert_eq!(st.per_shard.len(), threads);
-        assert_eq!(
-            st.per_shard.iter().map(|s| s.owned_vars).sum::<usize>(),
-            st.flow_vars,
-            "{threads} threads: shards must partition the variables"
         );
     }
 }

@@ -10,15 +10,14 @@
 //!
 //! The same suite asserts the frontend's stability contract directly:
 //! the verdict matches the `// expect:` header committed in each
-//! program, two runs are byte-identical, the 1-shard and 4-shard solver
-//! layouts are byte-identical, every insecure rung anchors a witness to
-//! the exact file:line:column of both the labeled origin and the
+//! program, two runs are byte-identical, every insecure rung anchors a
+//! witness to the exact file:line:column of both the labeled origin and the
 //! violating sink, resubmitting a formatting-only edit that keeps every
 //! declaration in place is an engine cache hit, and an edit that moves
 //! declarations to other lines misses and is re-anchored.
 
 use nuspi::engine::{AnalysisEngine, Request};
-use nuspi::lang::{check_to_json, check_with, Verdict};
+use nuspi::lang::{check, check_to_json, Verdict};
 use std::path::PathBuf;
 
 fn manifest_dir() -> PathBuf {
@@ -66,7 +65,7 @@ fn ladder() -> Vec<(String, String, String, Verdict)> {
 #[test]
 fn ladder_matches_expected_verdicts_and_goldens() {
     for (stem, rel, src, expect) in ladder() {
-        let report = check_with(&rel, &src, 1);
+        let report = check(&rel, &src);
         assert_eq!(report.verdict, expect, "{stem}: wrong verdict");
 
         if expect == Verdict::Insecure {
@@ -101,13 +100,8 @@ fn ladder_matches_expected_verdicts_and_goldens() {
         let json = check_to_json(&report);
         assert_eq!(
             json,
-            check_to_json(&check_with(&rel, &src, 1)),
+            check_to_json(&check(&rel, &src)),
             "{stem}: output differs between two identical runs"
-        );
-        assert_eq!(
-            json,
-            check_to_json(&check_with(&rel, &src, 4)),
-            "{stem}: output differs between 1-shard and 4-shard solving"
         );
 
         let path = golden_dir().join(format!("{stem}.json"));
@@ -180,7 +174,6 @@ fn engine_analyze_source_caches_on_the_lowered_digest() {
         let cold = engine.submit(Request::AnalyzeSource {
             file: rel.clone(),
             source: src.clone(),
-            shards: 1,
         });
         assert!(cold.is_ok(), "{stem}: {}", cold.body);
         assert!(!cold.cached, "{stem}: cold submission already cached");
@@ -189,7 +182,6 @@ fn engine_analyze_source_caches_on_the_lowered_digest() {
         let warm = engine.submit(Request::AnalyzeSource {
             file: rel.clone(),
             source: src.clone(),
-            shards: 1,
         });
         assert!(warm.cached, "{stem}: identical resubmission missed");
         assert_eq!(cold.body, warm.body, "{stem}: warm body differs");
@@ -200,7 +192,6 @@ fn engine_analyze_source_caches_on_the_lowered_digest() {
         let reformatted = engine.submit(Request::AnalyzeSource {
             file: rel.clone(),
             source: reformat_in_place(&src),
-            shards: 1,
         });
         assert!(reformatted.cached, "{stem}: reformatted source missed");
         assert_eq!(cold.body, reformatted.body, "{stem}: reformat body differs");
@@ -212,7 +203,6 @@ fn engine_analyze_source_caches_on_the_lowered_digest() {
         let shifted = engine.submit(Request::AnalyzeSource {
             file: rel.clone(),
             source: reformat_shifting_lines(&src),
-            shards: 1,
         });
         assert!(
             !shifted.cached,
@@ -223,7 +213,7 @@ fn engine_analyze_source_caches_on_the_lowered_digest() {
                 cold.body, shifted.body,
                 "{stem}: shifted anchors should change the report"
             );
-            let moved = check_with(&rel, &reformat_shifting_lines(&src), 1);
+            let moved = check(&rel, &reformat_shifting_lines(&src));
             let anchored = moved
                 .diags
                 .iter()
@@ -238,16 +228,6 @@ fn engine_analyze_source_caches_on_the_lowered_digest() {
                 shifted.body
             );
         }
-
-        // Shards are a solver layout, not an analysis input: excluded
-        // from the key, so a sharded resubmission shares the entry.
-        let sharded = engine.submit(Request::AnalyzeSource {
-            file: rel.clone(),
-            source: src.clone(),
-            shards: 4,
-        });
-        assert!(sharded.cached, "{stem}: sharded resubmission missed");
-        assert_eq!(cold.body, sharded.body, "{stem}: sharded body differs");
     }
 }
 

@@ -9,15 +9,15 @@
 //! * every protocol of the suite and every tracked open example is
 //!   linted twice — once under its shipped binary policy, once under an
 //!   explicitly constructed `Policy::with_lattice(SecLattice::two_point())`
-//!   twin — and the JSON must be byte-identical at 1 and 4 solver
-//!   shards, and equal to the committed golden file;
+//!   twin — and the JSON must be byte-identical, and equal to the
+//!   committed golden file;
 //! * the `examples/lang/` ladder gets the same treatment through the
 //!   frontend's derived policies;
 //! * the serve transcript for the whole suite is byte-identical across
 //!   worker counts (1 vs 4) and cache temperature (a cold engine vs the
 //!   warm second pass of a doubled session).
 
-use nuspi::diagnostics::{lint_with, to_json, LintConfig};
+use nuspi::diagnostics::{lint, to_json};
 use nuspi::engine::jsonio::{escape, Json};
 use nuspi::engine::{serve, AnalysisEngine, EngineConfig};
 use nuspi::Policy;
@@ -63,15 +63,8 @@ fn cases() -> Vec<(String, Process, Policy)> {
     out
 }
 
-fn lint_json(process: &Process, policy: &Policy, shards: usize) -> String {
-    to_json(&lint_with(
-        process,
-        policy,
-        LintConfig {
-            shards,
-            ..LintConfig::default()
-        },
-    ))
+fn lint_json(process: &Process, policy: &Policy) -> String {
+    to_json(&lint(process, policy))
 }
 
 fn golden_dir() -> PathBuf {
@@ -85,14 +78,12 @@ fn golden_dir() -> PathBuf {
 fn suite_lint_json_is_byte_identical_under_the_explicit_two_point_lattice() {
     for (name, process, policy) in cases() {
         let twin = two_point_twin(&policy);
-        let baseline = lint_json(&process, &policy, 1);
-        for shards in [1, 4] {
-            assert_eq!(
-                baseline,
-                lint_json(&process, &twin, shards),
-                "{name}: explicit two-point lattice diverges at {shards} shard(s)"
-            );
-        }
+        let baseline = lint_json(&process, &policy);
+        assert_eq!(
+            baseline,
+            lint_json(&process, &twin),
+            "{name}: explicit two-point lattice diverges"
+        );
         // And both agree with the committed golden bytes, so the wall is
         // anchored to the repository, not to this process's output.
         let path = golden_dir().join(format!("{name}.json"));
@@ -144,14 +135,11 @@ fn lang_ladder_lint_json_is_byte_identical_under_the_explicit_two_point_lattice(
             "{name}: the committed ladder is binary-labelled"
         );
         let twin = two_point_twin(&compiled.policy);
-        let baseline = lint_json(&compiled.process, &compiled.policy, 1);
-        for shards in [1, 4] {
-            assert_eq!(
-                baseline,
-                lint_json(&compiled.process, &twin, shards),
-                "{name}: explicit two-point lattice diverges at {shards} shard(s)"
-            );
-        }
+        assert_eq!(
+            lint_json(&compiled.process, &compiled.policy),
+            lint_json(&compiled.process, &twin),
+            "{name}: explicit two-point lattice diverges"
+        );
     }
 }
 

@@ -9,11 +9,10 @@
 //! ```
 //!
 //! The same test asserts the stability contract directly: two runs are
-//! byte-identical, the 1-shard and 4-shard solver layouts are
 //! byte-identical, and every semantic (`E...`) diagnostic carries a
 //! non-empty witness trace whose steps name concrete rules.
 
-use nuspi::diagnostics::{lint, lint_with, to_json, LintConfig, Severity};
+use nuspi::diagnostics::{lint, to_json, Severity};
 use nuspi::Policy;
 use nuspi_protocols::{open_examples, suite};
 use nuspi_security::{n_star, n_star_name};
@@ -77,23 +76,11 @@ fn check_case(name: &str, process: &Process, policy: &Policy) {
 
     let json = to_json(&diags);
 
-    // Stability: a second run and a sharded run must match byte-for-byte.
+    // Stability: a second run must match byte-for-byte.
     assert_eq!(
         json,
         to_json(&lint(process, policy)),
         "{name}: lint output differs between two identical runs"
-    );
-    assert_eq!(
-        json,
-        to_json(&lint_with(
-            process,
-            policy,
-            LintConfig {
-                shards: 4,
-                ..LintConfig::default()
-            }
-        )),
-        "{name}: lint output differs between 1-shard and 4-shard solving"
     );
 
     let path = golden_dir().join(format!("{name}.json"));

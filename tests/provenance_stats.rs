@@ -5,11 +5,10 @@
 //!   ("introduced at …") — chains cannot cycle because each hop follows
 //!   the first-insertion justification, which strictly decreases in
 //!   insertion time.
-//! * The solver's cache and shard counters must be internally consistent
-//!   (`hits + misses == queries`, shard partitions cover the variables,
-//!   one wall-time sample per round).
+//! * The solver's cache counters must be internally consistent
+//!   (`hits + misses == queries`, one wall-time sample per round).
 
-use nuspi::cfa::{solve_parallel, solve_traced, Constraints};
+use nuspi::cfa::{solve, solve_traced, Constraints};
 use nuspi_bench::genproc::{random_process, GenConfig};
 use nuspi_protocols::suite;
 
@@ -78,64 +77,14 @@ fn sequential_cache_counters_are_consistent_across_the_suite() {
             "{}: one wall-time sample per round",
             spec.name
         );
-        assert!(st.per_shard.is_empty(), "sequential solver has no shards");
     }
 }
 
 #[test]
-fn parallel_counters_are_populated_and_consistent_across_the_suite() {
-    let mut total_queries = 0;
-    for spec in suite() {
-        let sol = solve_parallel(Constraints::generate(&spec.process), 4);
-        let st = sol.stats();
-        assert_eq!(st.per_shard.len(), 4, "{}", spec.name);
-        assert_eq!(
-            st.cache_hits + st.cache_misses,
-            st.intersection_queries,
-            "{}",
-            spec.name
-        );
-        for (i, sh) in st.per_shard.iter().enumerate() {
-            assert_eq!(
-                sh.cache_hits + sh.cache_misses,
-                sh.intersection_queries,
-                "{} shard {i}",
-                spec.name
-            );
-        }
-        assert_eq!(
-            st.per_shard.iter().map(|s| s.owned_vars).sum::<usize>(),
-            st.flow_vars,
-            "{}",
-            spec.name
-        );
-        assert_eq!(
-            st.per_shard.iter().map(|s| s.productions).sum::<usize>(),
-            st.productions,
-            "{}",
-            spec.name
-        );
-        assert_eq!(st.round_millis.len(), st.rounds, "{}", spec.name);
-        assert!(
-            st.per_shard.iter().any(|s| s.deltas_sent > 0),
-            "{}: a non-trivial protocol must exchange deltas",
-            spec.name
-        );
-        total_queries += st.intersection_queries;
-    }
-    // Every protocol in the suite decrypts, so the intersection machinery
-    // must have been exercised. (The work-stealing solver no longer
-    // re-queries settled intersections every round the way the BSP one
-    // did, so suite solves can legitimately never need the memo cache.)
-    assert!(total_queries > 0, "suite never queried an intersection");
-}
-
-#[test]
-fn parallel_memo_cache_serves_cross_round_retries() {
+fn memo_cache_serves_cross_round_retries() {
     // A permanently locked decryption is retried at every round
     // boundary; once the grammar stops growing, those retries must be
-    // answered by the persistent negative cache. One worker keeps the
-    // drain order (and hence the round structure) deterministic.
+    // answered by the persistent negative cache.
     let src = "k1a<k1>.0 \
                | k1a(t1). k1b<t1>.0 \
                | k1b(t2). k1c<t2>.0 \
@@ -147,7 +96,7 @@ fn parallel_memo_cache_serves_cross_round_retries() {
                | c<{m, new rc}:kez>.0 \
                | c<{m, new rh}:k2>.0";
     let p = nuspi_syntax::parse_process(src).unwrap();
-    let st = solve_parallel(Constraints::generate(&p), 1).stats().clone();
+    let st = solve(Constraints::generate(&p)).stats().clone();
     assert!(
         st.rounds >= 3,
         "staged unlock needs multiple rounds: {st:?}"
