@@ -616,6 +616,24 @@ pub fn lang(smoke: bool) -> SuiteRun {
     report.exact("ladder/programs", LANG_LADDER.len() as u64);
     report.exact("ladder/insecure", insecure);
 
+    // The secure ring must be explored whole: modulo `Q | !Q ≡ !Q` its
+    // carefulness exploration revisits states instead of truncating.
+    let (_, ring_src) = LANG_LADDER
+        .iter()
+        .find(|(name, _)| *name == "06_cycle")
+        .expect("06_cycle is on the ladder");
+    let ring = nuspi_lang::compile("06_cycle", ring_src).expect("ladder program compiles");
+    let ring_run = carefulness(&ring.process, &ring.policy, &ExecConfig::default());
+    human.push_str(&format!(
+        "\ncarefulness/06_cycle: {} state(s), truncated: {}\n",
+        ring_run.stats.states, ring_run.stats.truncated
+    ));
+    report.exact("carefulness/06_cycle/states", ring_run.stats.states as u64);
+    report.exact(
+        "carefulness/06_cycle/truncated",
+        u64::from(ring_run.stats.truncated),
+    );
+
     // The engine path: a cold batch computes every program, warm
     // batches are pure cache hits (the key is the lowered process's
     // α-invariant digest, so a formatting edit would hit too).

@@ -5,6 +5,10 @@
 //! with its children *inlined* up to a depth budget (cycles and deep
 //! nests render as `…`), and [`Solution::render_estimate`] dumps the
 //! whole `(ρ, κ, ζ)` triple the way the paper's Example 1 presents it.
+//!
+//! [`Solution::least_rendered`] picks the production with the least
+//! rendering while rendering only the ones that can win, and [`elide`]
+//! bounds a rendering a report prints to [`RENDER_CAP`] bytes.
 
 use crate::domain::{FlowVar, Prod, VarId};
 use crate::solver::Solution;
@@ -50,12 +54,114 @@ fn bound_vars_into(p: &Process, out: &mut Vec<Var>) {
     }
 }
 
+/// What [`Solution::render_production`] prints for a production, as far
+/// as it is known without inlining any child nonterminal.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum RenderHead {
+    /// An atom (`Name`, `Zero`): the rendering is exactly this string.
+    Whole(&'static str),
+    /// A constructor (`Suc`, `Pair`, `Enc`): every rendering starts with
+    /// this opening and is strictly longer than it. No opening is a
+    /// prefix of another, so two different openings order every
+    /// rendering of one before every rendering of the other.
+    Opening(&'static str),
+}
+
+impl Prod {
+    /// The head of this production's rendering at any depth.
+    pub(crate) fn render_head(&self) -> RenderHead {
+        match self {
+            Prod::Name(n) => RenderHead::Whole(n.as_str()),
+            Prod::Zero => RenderHead::Whole("0"),
+            Prod::Suc(_) => RenderHead::Opening("suc("),
+            Prod::Pair(..) => RenderHead::Opening("("),
+            Prod::Enc { .. } => RenderHead::Opening("{"),
+        }
+    }
+}
+
+/// The most bytes a rendering printed inside a report may take; see
+/// [`elide`].
+pub const RENDER_CAP: usize = 1024;
+
+/// Cuts `rendered` to at most [`RENDER_CAP`] bytes, on a character
+/// boundary and ending in `…`, counting each cut as `cfa.render.elided`.
+/// Renderings within the cap come back unchanged.
+pub fn elide(mut rendered: String) -> String {
+    if rendered.len() <= RENDER_CAP {
+        return rendered;
+    }
+    let mut cut = RENDER_CAP - '…'.len_utf8();
+    while !rendered.is_char_boundary(cut) {
+        cut -= 1;
+    }
+    rendered.truncate(cut);
+    rendered.push('…');
+    nuspi_obs::counter("cfa.render.elided", 1);
+    rendered
+}
+
 impl Solution {
     /// Renders one production, inlining child nonterminals up to `depth`.
     pub fn render_production(&self, prod: &Prod, depth: usize) -> String {
         let mut out = String::new();
         self.render_prod_into(prod, depth, &mut HashSet::new(), &mut out);
         out
+    }
+
+    /// The candidate with the least `(class, render_production(p, depth))`,
+    /// ties going to the earliest, paired with that rendering: what
+    /// sorting every candidate on the key and taking the first returns.
+    ///
+    /// Only candidates still in contention are rendered. Within the least
+    /// class an atom (a name, `0`) renders as its own string; a
+    /// constructor whose opening (`(`, `suc(`, `{`) sorts at or after the
+    /// best atom renders after it, and so does one whose opening sorts
+    /// after another constructor's (openings are never prefixes of one
+    /// another).
+    pub fn least_rendered<'p, C: Ord + Copy>(
+        &self,
+        candidates: impl IntoIterator<Item = (C, &'p Prod)>,
+        depth: usize,
+    ) -> Option<(&'p Prod, String)> {
+        let candidates: Vec<(C, &Prod)> = candidates.into_iter().collect();
+        let class = candidates.iter().map(|(c, _)| *c).min()?;
+        let contenders: Vec<(&Prod, RenderHead)> = candidates
+            .into_iter()
+            .filter(|(c, _)| *c == class)
+            .map(|(_, p)| (p, p.render_head()))
+            .collect();
+        let best_atom = contenders
+            .iter()
+            .enumerate()
+            .filter_map(|(i, (_, head))| match head {
+                RenderHead::Whole(s) => Some((*s, i)),
+                RenderHead::Opening(_) => None,
+            })
+            .min();
+        let opening = contenders
+            .iter()
+            .filter_map(|(_, head)| match head {
+                RenderHead::Opening(o) if best_atom.is_none_or(|(s, _)| s > *o) => Some(*o),
+                _ => None,
+            })
+            .min();
+        let mut best = best_atom.map(|(s, i)| (s.to_owned(), i));
+        if let Some(opening) = opening {
+            for (i, (p, head)) in contenders.iter().enumerate() {
+                if *head != RenderHead::Opening(opening) {
+                    continue;
+                }
+                let shown = self.render_production(p, depth);
+                if best
+                    .as_ref()
+                    .is_none_or(|(b, j)| (shown.as_str(), i) < (b.as_str(), *j))
+                {
+                    best = Some((shown, i));
+                }
+            }
+        }
+        best.map(|(shown, i)| (contenders[i].0, shown))
     }
 
     fn render_var_into(
@@ -259,6 +365,7 @@ impl Solution {
 
 #[cfg(test)]
 mod tests {
+    use super::{elide, RenderHead, RENDER_CAP};
     use crate::analyze;
     use crate::domain::FlowVar;
     use nuspi_syntax::{parse_process, Symbol};
@@ -344,6 +451,46 @@ mod tests {
             })
             .unwrap();
         assert_eq!(sol.render_set(rho, 3), "∅");
+    }
+
+    #[test]
+    fn render_heads_match_renderings() {
+        let p = parse_process("c<(a, suc(0))>.c<{b, new r}:k>.c<suc(0)>.c<0>.c<a>.0").unwrap();
+        let sol = analyze(&p);
+        let kappa = sol.prods_of(FlowVar::Kappa(Symbol::intern("c")));
+        assert_eq!(kappa.len(), 5);
+        for prod in kappa {
+            for depth in [0, 1, 4] {
+                let shown = sol.render_production(prod, depth);
+                match prod.render_head() {
+                    RenderHead::Whole(s) => assert_eq!(shown, s),
+                    RenderHead::Opening(o) => {
+                        assert!(shown.starts_with(o) && shown.len() > o.len(), "{shown}")
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn no_opening_is_a_prefix_of_another() {
+        let openings = ["suc(", "(", "{"];
+        for a in openings {
+            for b in openings {
+                assert!(a == b || !b.starts_with(a), "{a} opens {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn elide_caps_long_renderings_on_a_char_boundary() {
+        let short = "κ".repeat(10);
+        assert_eq!(elide(short.clone()), short);
+        let long = "κ".repeat(RENDER_CAP);
+        let cut = elide(long);
+        assert!(cut.len() <= RENDER_CAP, "{}", cut.len());
+        assert!(cut.ends_with('…'));
+        assert!(cut.trim_end_matches('…').chars().all(|c| c == 'κ'));
     }
 
     #[test]

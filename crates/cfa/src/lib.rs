@@ -45,6 +45,7 @@ mod solver;
 
 pub use attacker::{analyze_with_attacker, analyze_with_attacker_traced, AttackedSolution};
 pub use constraints::{Constraint, Constraints};
+pub use display::{elide, RENDER_CAP};
 pub use domain::{FlowVar, Prod, VarId, VarTable};
 pub use finite::{FiniteEstimate, FiniteViolation, ValSet};
 pub use reference::solve_reference;

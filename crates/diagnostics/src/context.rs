@@ -10,7 +10,7 @@
 
 use crate::diag::{Span, WitnessStep};
 use nuspi_cfa::{
-    analyze_with_attacker_traced, AttackedSolution, EdgeKind, FlowStepKind, FlowVar, Prod,
+    analyze_with_attacker_traced, elide, AttackedSolution, EdgeKind, FlowStepKind, FlowVar, Prod,
     Provenance, Solution,
 };
 use nuspi_security::{AbstractKind, Policy};
@@ -156,7 +156,7 @@ impl LintContext {
     pub fn witness_from_flow(&self, fv: FlowVar, prod: &Prod) -> Vec<WitnessStep> {
         let sem = self.semantic();
         let sol = sem.traced_solution();
-        let rendered = sol.render_production(prod, 2);
+        let rendered = elide(sol.render_production(prod, 2));
         let mut out = Vec::new();
         for step in sem.provenance.explain_steps(sol, fv, prod) {
             let at = self.display_flow_var(step.at);

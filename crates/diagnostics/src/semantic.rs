@@ -26,7 +26,9 @@
 use crate::context::LintContext;
 use crate::diag::{Diagnostic, Severity, Span, WitnessStep};
 use crate::registry::{Pass, PassKind};
-use nuspi_cfa::{accept, attacker::attacker_confounder, attacker::attacker_name, FlowVar, Prod};
+use nuspi_cfa::{
+    accept, attacker::attacker_confounder, attacker::attacker_name, elide, FlowVar, Prod,
+};
 use nuspi_security::{
     carefulness, invariance, n_star, AbstractLevel, AbstractSort, InvarianceViolation,
 };
@@ -43,28 +45,27 @@ pub fn passes() -> Vec<Box<dyn Pass>> {
     ]
 }
 
-/// Picks the production of `κ(chan)` (in the traced solution) that best
-/// witnesses a secret-kind flow: prefer plain names and honest
-/// ciphertexts over attacker-synthesised noise, tie-break on the
-/// rendered form so the choice is stable across runs and layouts.
-fn secret_witness_prod(ctx: &LintContext, fv: FlowVar) -> Option<Prod> {
-    let sem = ctx.semantic();
-    let sol = sem.traced_solution();
-    let policy = ctx.policy();
-    let mut candidates: Vec<&Prod> = sol
-        .prods_of(fv)
-        .iter()
-        .filter(|p| sem.traced_kinds.facts_of_prod(p, policy).may_secret)
-        .collect();
-    candidates.sort_by_cached_key(|p| {
+/// Picks the production of `fv` (in the traced solution) that best
+/// witnesses a flow among those `keep` admits: plain names and honest
+/// ciphertexts before attacker-synthesised noise, then the least
+/// depth-4 rendering, so the choice is stable across runs and layouts.
+/// Returns the production with that rendering.
+fn witness_prod(
+    ctx: &LintContext,
+    fv: FlowVar,
+    keep: impl Fn(&Prod) -> bool,
+) -> Option<(Prod, String)> {
+    let sol = ctx.semantic().traced_solution();
+    let candidates = sol.prods_of(fv).iter().filter(|p| keep(p)).map(|p| {
         let interesting = match p {
             Prod::Name(_) => true,
             Prod::Enc { confounder, .. } => *confounder != attacker_confounder(),
             _ => false,
         };
-        (!interesting, sol.render_production(p, 4))
+        (!interesting, p)
     });
-    candidates.first().map(|p| (*p).clone())
+    sol.least_rendered(candidates, 4)
+        .map(|(p, shown)| (p.clone(), shown))
 }
 
 /// E001–E004 — the static secrecy check of Definition 4.
@@ -137,11 +138,11 @@ impl Pass for Confinement {
             }
             let fv = FlowVar::Kappa(chan);
             let mut witness = Vec::new();
-            if let Some(prod) = secret_witness_prod(ctx, fv) {
-                let rendered = sol.render_production(&prod, 4);
+            let may_secret = |p: &Prod| sem.traced_kinds.facts_of_prod(p, policy).may_secret;
+            if let Some((prod, rendered)) = witness_prod(ctx, fv, may_secret) {
                 witness.push(WitnessStep {
                     rule: "kind classification (Definition 2)",
-                    detail: format!("kind({rendered}) = S under the declared policy"),
+                    detail: format!("kind({}) = S under the declared policy", elide(rendered)),
                 });
                 witness.extend(ctx.witness_from_flow(fv, &prod));
             }
@@ -280,14 +281,12 @@ impl Invariance {
         // A witness production at a ζ entry that may be E-sorted,
         // chosen stably by rendered form.
         let exposed_prod = |l| {
-            let fv = FlowVar::Zeta(l);
-            let mut ps: Vec<&Prod> = sol
-                .prods_of(fv)
+            let candidates = sol
+                .prods_of(FlowVar::Zeta(l))
                 .iter()
                 .filter(|p| sorts.facts_of_prod(p).may_exposed)
-                .collect();
-            ps.sort_by_cached_key(|p| sol.render_production(p, 4));
-            ps.first().map(|p| (*p).clone())
+                .map(|p| ((), p));
+            sol.least_rendered(candidates, 4).map(|(p, _)| p.clone())
         };
         match v {
             InvarianceViolation::ExposedKey { label } => {
@@ -450,9 +449,11 @@ impl Pass for GradedFlow {
         }
         let lat = policy.lattice();
         let clearance = policy.clearance();
-        let mut out = Vec::new();
         let sol = ctx.semantic().traced_solution();
         let levels = AbstractLevel::compute(sol, policy);
+        let downset = lat.downset(clearance);
+        let escapes = |p: &Prod| !levels.facts_of_prod(p, policy).minus(downset).is_empty();
+        let mut out = Vec::new();
         for chan in sol.channels() {
             let observable = lat.leq(policy.level_of(chan), clearance) || chan == attacker_name();
             if !observable {
@@ -461,8 +462,24 @@ impl Pass for GradedFlow {
             let Some(id) = sol.var_id(FlowVar::Kappa(chan)) else {
                 continue;
             };
-            for l in levels.escaping(id) {
-                let fv = FlowVar::Kappa(chan);
+            let escaping: Vec<_> = levels.escaping(id).collect();
+            if escaping.is_empty() {
+                continue;
+            }
+            let fv = FlowVar::Kappa(chan);
+            // One witness per channel: the candidates do not depend on
+            // which escaping level the diagnostic names.
+            let chosen: Vec<WitnessStep> = witness_prod(ctx, fv, escapes)
+                .map(|(prod, rendered)| {
+                    let mut steps = vec![WitnessStep {
+                        rule: "level classification (Definition 2, graded)",
+                        detail: format!("level({}) escapes the clearance", elide(rendered)),
+                    }];
+                    steps.extend(ctx.witness_from_flow(fv, &prod));
+                    steps
+                })
+                .unwrap_or_default();
+            for l in escaping {
                 let mut witness = vec![WitnessStep {
                     rule: "lattice flow judgment (ℓ ⊑ clearance)",
                     detail: format!(
@@ -472,14 +489,7 @@ impl Pass for GradedFlow {
                         lat.show(clearance)
                     ),
                 }];
-                if let Some(prod) = graded_witness_prod(ctx, &levels, fv, clearance) {
-                    let rendered = sol.render_production(&prod, 4);
-                    witness.push(WitnessStep {
-                        rule: "level classification (Definition 2, graded)",
-                        detail: format!("level({rendered}) escapes the clearance"),
-                    });
-                    witness.extend(ctx.witness_from_flow(fv, &prod));
-                }
+                witness.extend(chosen.iter().cloned());
                 let message = if chan == attacker_name() {
                     format!(
                         "a value graded {} may become derivable by the attacker \
@@ -507,35 +517,6 @@ impl Pass for GradedFlow {
         }
         out
     }
-}
-
-/// Picks the production of `κ(chan)` (traced solution) whose level set
-/// escapes the clearance, stably — the graded analogue of
-/// [`secret_witness_prod`].
-fn graded_witness_prod(
-    ctx: &LintContext,
-    levels: &AbstractLevel,
-    fv: FlowVar,
-    clearance: nuspi_security::Level,
-) -> Option<Prod> {
-    let sem = ctx.semantic();
-    let sol = sem.traced_solution();
-    let policy = ctx.policy();
-    let observable = policy.lattice().downset(clearance);
-    let mut candidates: Vec<&Prod> = sol
-        .prods_of(fv)
-        .iter()
-        .filter(|p| !levels.facts_of_prod(p, policy).minus(observable).is_empty())
-        .collect();
-    candidates.sort_by_cached_key(|p| {
-        let interesting = match p {
-            Prod::Name(_) => true,
-            Prod::Enc { confounder, .. } => *confounder != attacker_confounder(),
-            _ => false,
-        };
-        (!interesting, sol.render_production(p, 4))
-    });
-    candidates.first().map(|p| (*p).clone())
 }
 
 #[cfg(test)]
@@ -573,6 +554,20 @@ mod tests {
             for step in &diag.witness {
                 assert!(!step.rule.is_empty() && !step.detail.is_empty());
             }
+        }
+    }
+
+    #[test]
+    fn printed_witness_renders_are_capped() {
+        // The secret's name alone is twice the cap, so its rendering in
+        // `kind(…)` and in the flow witness is cut.
+        let long = "s".repeat(2 * nuspi_cfa::RENDER_CAP);
+        let d = lint_all(&format!("(new {long}) c<{long}>.0"), &[long.as_str()]);
+        let hit = d.iter().find(|d| d.code == "E001").expect("E001");
+        assert!(hit.witness[0].detail.starts_with("kind(sss"), "{hit:?}");
+        assert!(hit.witness[0].detail.contains("…) = S"), "{hit:?}");
+        for step in &hit.witness {
+            assert!(step.detail.len() < nuspi_cfa::RENDER_CAP + 64, "{step:?}");
         }
     }
 

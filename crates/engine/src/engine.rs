@@ -24,7 +24,7 @@ use nuspi_semantics::ExecConfig;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 /// The scalar budgets of [`IntruderConfig`], in a `Send`-safe form the
@@ -206,14 +206,19 @@ enum Pending {
     },
 }
 
+/// One worker per core: the default pool width, read once per process
+/// (on Linux the query reads cgroup files, which costs more than the
+/// rest of building an engine).
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
+
 impl AnalysisEngine {
-    /// Builds an engine from `cfg`, spawning the worker pool up front.
+    /// Builds an engine from `cfg`. The worker pool starts its threads
+    /// with the first pooled job.
     pub fn new(cfg: EngineConfig) -> AnalysisEngine {
-        let jobs = if cfg.jobs == 0 {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        } else {
-            cfg.jobs
-        };
+        let jobs = if cfg.jobs == 0 { cores() } else { cfg.jobs };
         let budget = if cfg.cache_bytes == 0 {
             DEFAULT_CACHE_BYTES
         } else {

@@ -32,9 +32,13 @@ use std::fmt::Write as _;
 use std::hash::Hasher as _;
 
 /// Version of the cache-key schema. Bump when the key derivation or any
-/// body layout changes, so stale entries from an older engine can never
-/// be served (relevant once the cache outlives one process).
-const KEY_VERSION: u8 = 1;
+/// body changes, so stale entries from an older engine can never be
+/// served (relevant once the cache outlives one process).
+///
+/// Version 2: carefulness explores states modulo structural congruence
+/// (fewer truncation notes and violation counts on replicated
+/// processes), and audit bodies list intruder attacks in secret order.
+const KEY_VERSION: u8 = 2;
 
 /// How a prepared job executes.
 pub(crate) enum Runner {

@@ -7,11 +7,15 @@
 //! error responses before they ever reach the pool's backstop). Dropping
 //! the pool closes the queue and joins every worker — in-flight jobs
 //! finish, queued jobs drain, then the threads exit.
+//!
+//! The workers are spawned with the first job, not with the pool: an
+//! engine that only ever answers from its cache, or inline, never pays
+//! for threads, and building one stays a few allocations.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 
 /// A unit of work: a boxed closure the pool runs on some worker.
@@ -26,22 +30,32 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// The fixed-size worker pool.
 pub struct WorkerPool {
+    jobs: usize,
     tx: Option<Sender<Job>>,
-    handles: Vec<JoinHandle<()>>,
+    rx: Arc<Mutex<Receiver<Job>>>,
+    handles: OnceLock<Vec<JoinHandle<()>>>,
     panics: Arc<AtomicU64>,
 }
 
 impl WorkerPool {
-    /// Spawns `jobs.max(1)` worker threads sharing one queue.
+    /// A pool of `jobs.max(1)` worker threads sharing one queue; the
+    /// threads start with the first [`spawn`](WorkerPool::spawn).
     pub fn new(jobs: usize) -> WorkerPool {
-        let jobs = jobs.max(1);
         let (tx, rx) = channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let panics = Arc::new(AtomicU64::new(0));
-        let handles = (0..jobs)
+        WorkerPool {
+            jobs: jobs.max(1),
+            tx: Some(tx),
+            rx: Arc::new(Mutex::new(rx)),
+            handles: OnceLock::new(),
+            panics: Arc::new(AtomicU64::new(0)),
+        }
+    }
+
+    fn start(&self) -> Vec<JoinHandle<()>> {
+        (0..self.jobs)
             .map(|i| {
-                let rx = Arc::clone(&rx);
-                let panics = Arc::clone(&panics);
+                let rx = Arc::clone(&self.rx);
+                let panics = Arc::clone(&self.panics);
                 std::thread::Builder::new()
                     .name(format!("nuspi-engine-worker-{i}"))
                     // Analyses recurse over the process term (digesting,
@@ -53,17 +67,12 @@ impl WorkerPool {
                     .spawn(move || worker_loop(&rx, &panics))
                     .expect("spawn worker thread")
             })
-            .collect();
-        WorkerPool {
-            tx: Some(tx),
-            handles,
-            panics,
-        }
+            .collect()
     }
 
     /// Number of worker threads.
     pub fn jobs(&self) -> usize {
-        self.handles.len()
+        self.jobs
     }
 
     /// Jobs that reached the pool's panic backstop (the engine layer
@@ -72,8 +81,10 @@ impl WorkerPool {
         self.panics.load(Ordering::Relaxed)
     }
 
-    /// Enqueues a job. The queue is unbounded; submission never blocks.
+    /// Enqueues a job, starting the workers on first use. The queue is
+    /// unbounded; submission never blocks.
     pub fn spawn(&self, job: Job) {
+        self.handles.get_or_init(|| self.start());
         self.tx
             .as_ref()
             .expect("pool not shut down while alive")
@@ -99,7 +110,7 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, panics: &AtomicU64) {
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         drop(self.tx.take()); // close the queue; workers drain and exit
-        for handle in self.handles.drain(..) {
+        for handle in self.handles.take().unwrap_or_default() {
             let _ = handle.join();
         }
     }
@@ -129,6 +140,18 @@ mod tests {
             rx.recv_timeout(std::time::Duration::from_secs(10)).unwrap();
         }
         assert_eq!(counter.load(Ordering::Relaxed), 64);
+    }
+
+    #[test]
+    fn workers_start_with_the_first_job() {
+        let pool = WorkerPool::new(2);
+        assert!(pool.handles.get().is_none(), "no threads before a job");
+        let (tx, rx) = mpsc::channel();
+        pool.spawn(Box::new(move || {
+            let _ = tx.send(());
+        }));
+        rx.recv_timeout(std::time::Duration::from_secs(10)).unwrap();
+        assert_eq!(pool.handles.get().map(Vec::len), Some(2));
     }
 
     #[test]

@@ -175,3 +175,48 @@ fn stats_op_surfaces_obs_section_only_while_enabled() {
     Json::parse(stats_line).unwrap();
     nuspi_obs::reset();
 }
+
+#[test]
+fn budget_counters_are_recorded_without_changing_bodies() {
+    let _g = RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    nuspi_obs::reset();
+    // A secret whose name alone outruns the render cap, so the printed
+    // witness renders are elided; and a counter whose states never
+    // repeat, so the carefulness exploration hits its depth budget.
+    let long = "s".repeat(2 * nuspi_cfa::RENDER_CAP);
+    let leak = format!("(new {long}) c<{long}>.0");
+    let counter = "(new c) (c<0>.0 | !c(x).c<suc(x)>.0)";
+    let run = || {
+        let engine = AnalysisEngine::with_jobs(1);
+        engine
+            .submit_requests(vec![
+                Request::lint(&leak, &[long.as_str()]),
+                Request::lint(counter, &[]),
+            ])
+            .into_iter()
+            .map(|r| r.body.to_string())
+            .collect::<Vec<_>>()
+    };
+    let quiet = run();
+    nuspi_obs::enable();
+    let traced = run();
+    nuspi_obs::disable();
+    assert_eq!(quiet, traced, "tracing must never change response bytes");
+    let capped = nuspi_cfa::elide(long.clone());
+    assert!(capped.len() <= nuspi_cfa::RENDER_CAP && capped.ends_with('…'));
+    assert!(
+        quiet[0].contains(&format!("kind({capped}) = S")),
+        "{}",
+        quiet[0]
+    );
+    assert!(
+        quiet[0].contains(&format!("{capped} is produced at")),
+        "{}",
+        quiet[0]
+    );
+    assert!(quiet[1].contains("N005"), "{}", quiet[1]);
+    assert!(nuspi_obs::counter_value("cfa.render.elided") > 0);
+    assert!(nuspi_obs::counter_value("semantics.explore.states") > 0);
+    assert_eq!(nuspi_obs::counter_value("semantics.explore.truncated"), 1);
+    nuspi_obs::reset();
+}

@@ -37,7 +37,8 @@ pub struct Audit {
     pub confinement: ConfinementReport,
     /// The dynamic monitor's verdict (Definition 3).
     pub carefulness: CarefulnessReport,
-    /// Attacks the bounded intruder found, per secret.
+    /// Attacks the bounded intruder found, per secret, ordered by the
+    /// secret's canonical string.
     pub attacks: Vec<(Symbol, Attack)>,
 }
 
@@ -63,8 +64,13 @@ pub fn audit(p: &Process, policy: &Policy, cfg: &AuditConfig) -> Audit {
         .filter(|n| policy.is_public(*n))
         .collect();
     let k0 = Knowledge::from_names(public_names);
-    let attacks = policy
-        .secrets()
+    // The policy's secret set iterates in hash order; search (and
+    // report) in the order of the canonical strings instead, so the
+    // rendered audit is a function of the inputs alone.
+    let mut secrets: Vec<Symbol> = policy.secrets().collect();
+    secrets.sort_by_key(|s| s.as_str());
+    let attacks = secrets
+        .into_iter()
         .filter_map(|s| reveals(p, &k0, s, &cfg.intruder).map(|a| (s, a)))
         .collect();
     Audit {

@@ -7,12 +7,18 @@
 //! need — carefulness (Definition 3) quantifies over every reachable
 //! state's commitments, and public testing (Definition 8) asks whether a
 //! barb is `τ`-reachable.
+//!
+//! States are explored modulo a fragment of structural congruence
+//! (Table 1): `|` is flattened and `0` components are dropped, and with a
+//! replication budget of at least two a component `Q` beside `!Q` is
+//! absorbed (`Q | !Q ≡ !Q`). A ring of replicated forwarders then
+//! revisits its states instead of growing a spare copy per step.
 
 use crate::agent::{Action, Agent, Commitment, OutputEvent};
 use crate::commit::{commitments, CommitConfig};
 use crate::eval::EvalMode;
 use crate::rng::Rng;
-use nuspi_syntax::{alpha_hash, builder, Process, Symbol};
+use nuspi_syntax::{alpha_equivalent, alpha_hash, builder, Process, Symbol};
 
 /// Budgets and mode for bounded exploration.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -63,21 +69,40 @@ pub struct ExploreStats {
 /// handing each state's full commitment list to `visit`. Returning `false`
 /// from `visit` stops the search early.
 ///
-/// States are deduplicated up to α-equivalence (via
-/// [`alpha_hash`]); the depth and state budgets keep genuinely infinite
-/// spaces (replication, growing data) finite.
+/// The initial state is visited as given; every successor is first
+/// rewritten modulo structural congruence (see the module docs), and
+/// states are deduplicated up to α-equivalence of that form (via
+/// [`alpha_hash`]). The depth and state budgets keep genuinely infinite
+/// spaces (growing data, accumulating fresh names) finite. Each call adds
+/// its visited states to the `nuspi-obs` counter
+/// `semantics.explore.states`, and a truncated search counts once in
+/// `semantics.explore.truncated`.
 pub fn explore_tau(
+    p: &Process,
+    cfg: &ExecConfig,
+    visit: impl FnMut(&Process, &[Commitment]) -> bool,
+) -> ExploreStats {
+    let stats = explore(p, cfg, visit);
+    nuspi_obs::counter("semantics.explore.states", stats.states as u64);
+    if stats.truncated {
+        nuspi_obs::counter("semantics.explore.truncated", 1);
+    }
+    stats
+}
+
+fn explore(
     p: &Process,
     cfg: &ExecConfig,
     mut visit: impl FnMut(&Process, &[Commitment]) -> bool,
 ) -> ExploreStats {
     let ccfg = cfg.commit_config();
+    let absorb = cfg.rep_budget >= 2;
     let mut stats = ExploreStats::default();
     // Deduplicate states up to α-equivalence: binder freshening otherwise
     // makes every revisit look new.
     let mut seen = std::collections::HashSet::new();
     let mut frontier = vec![p.clone()];
-    seen.insert(alpha_hash(p));
+    seen.insert(alpha_hash(&normalise(p.clone(), absorb)));
     let mut depth = 0;
     while !frontier.is_empty() {
         if depth > cfg.max_depth {
@@ -101,6 +126,7 @@ pub fn explore_tau(
                     continue;
                 }
                 let Agent::Proc(q) = c.agent else { continue };
+                let q = normalise(q, absorb);
                 if seen.insert(alpha_hash(&q)) {
                     next.push(q);
                 }
@@ -110,6 +136,99 @@ pub fn explore_tau(
         depth += 1;
     }
     stats
+}
+
+/// Rewrites a state into the representative of its class under three
+/// laws of structural congruence, applied through every `|`, restriction
+/// and `hide` that is not under a prefix or guard:
+///
+/// * `(P | Q) | R ≡ P | (Q | R)`: nested compositions become one
+///   right-nested list of components;
+/// * `P | 0 ≡ P`: `0` components are dropped;
+/// * `Q | !Q ≡ !Q` (rule `Rep`), only with `absorb`: a component
+///   α-equivalent to the body `Q` of a sibling `!Q` is dropped, provided
+///   `Q` has no replication of its own outside prefixes (see
+///   [`absorbable`]).
+///
+/// Component order is kept, so the rewrite never depends on hashing or
+/// interning.
+///
+/// Absorption is exact only when every enumeration may unfold two copies
+/// of `!Q`. One commitment involves at most two prefixes, hence at most
+/// two copies of `Q`; with a budget of two, `!Q` alone supplies both, so
+/// `S | Q | !Q` and `S | !Q` have the same commitments up to these laws.
+/// With a budget of one, `!Q` supplies a single copy, and the spare `Q`
+/// is what lets two copies talk to each other.
+fn normalise(p: Process, absorb: bool) -> Process {
+    match p {
+        Process::Par(..) => {
+            let mut parts = Vec::new();
+            flatten(p, absorb, &mut parts);
+            if absorb {
+                absorb_copies(&mut parts);
+            }
+            builder::par_all(parts)
+        }
+        Process::Restrict { name, body } => Process::Restrict {
+            name,
+            body: Box::new(normalise(*body, absorb)),
+        },
+        Process::Hide { name, body } => Process::Hide {
+            name,
+            body: Box::new(normalise(*body, absorb)),
+        },
+        other => other,
+    }
+}
+
+fn flatten(p: Process, absorb: bool, out: &mut Vec<Process>) {
+    match p {
+        Process::Par(l, r) => {
+            flatten(*l, absorb, out);
+            flatten(*r, absorb, out);
+        }
+        Process::Nil => {}
+        other => out.push(normalise(other, absorb)),
+    }
+}
+
+/// Drops every component α-equivalent to the body of an absorbable
+/// sibling replication.
+fn absorb_copies(parts: &mut Vec<Process>) {
+    let bodies: Vec<&Process> = parts
+        .iter()
+        .filter_map(|c| match c {
+            Process::Replicate(q) if absorbable(q) => Some(&**q),
+            _ => None,
+        })
+        .collect();
+    if bodies.is_empty() {
+        return;
+    }
+    let spare: Vec<bool> = parts
+        .iter()
+        .map(|c| bodies.iter().any(|q| alpha_equivalent(c, q)))
+        .collect();
+    let mut spare = spare.into_iter();
+    parts.retain(|_| !spare.next().unwrap_or(false));
+}
+
+/// Whether `Q` may be absorbed into `!Q`: its commitments must not depend
+/// on the replication budget, i.e. no `!` is reachable from its root
+/// without passing a prefix. A copy unfolded from `!Q` enumerates its
+/// own replications with one unfolding fewer than a spare `Q` would.
+fn absorbable(q: &Process) -> bool {
+    match q {
+        Process::Replicate(_) => false,
+        Process::Nil | Process::Output { .. } | Process::Input { .. } => true,
+        Process::Par(a, b) => absorbable(a) && absorbable(b),
+        Process::CaseNat { zero, succ, .. } => absorbable(zero) && absorbable(succ),
+        Process::Restrict { body, .. }
+        | Process::Hide { body, .. }
+        | Process::Match { then: body, .. }
+        | Process::Let { then: body, .. }
+        | Process::CaseDec { then: body, .. } => absorbable(body),
+    }
 }
 
 /// The bounded `τ`-closure of `p`: every reachable state paired with its
@@ -321,6 +440,41 @@ mod tests {
         let stats = explore_tau(&p, &tight, |_, _| true);
         assert!(stats.truncated);
         assert!(stats.states <= 3);
+    }
+
+    #[test]
+    fn a_ring_of_replicated_forwarders_revisits_its_states() {
+        // Two forwarders pass one seed round a ring forever. Up to α each
+        // step leaves a spare unfolded copy behind, so no state repeats;
+        // modulo `Q | !Q ≡ !Q` the seed's second lap revisits the first.
+        let p = parse_process(
+            "(new a) (new b) (new s) ((!a(x).b<x>.0 | 0) | ((!b(y).a<y>.0 | 0) | a<s>.0))",
+        )
+        .unwrap();
+        let stats = explore_tau(&p, &cfg(), |_, _| true);
+        assert!(!stats.truncated, "{stats:?}");
+        assert!(stats.states <= 4, "{stats:?}");
+    }
+
+    #[test]
+    fn normalise_flattens_drops_nil_and_absorbs_spare_copies() {
+        let shape =
+            |src: &str, absorb: bool| normalise(parse_process(src).unwrap(), absorb).to_string();
+        assert_eq!(
+            shape("(a<m>.0 | 0) | (0 | (b<m>.0 | 0))", false),
+            "a<m>.0 | b<m>.0"
+        );
+        assert_eq!(shape("(new n) ((0 | n<m>.0) | 0)", false), "(new n) n<m>.0");
+        assert_eq!(shape("0 | 0", true), "0");
+        let server = "(a(x).b<x>.0 | !a(x).b<x>.0) | c<m>.0";
+        assert_eq!(shape(server, true), "!a(x).b<x>.0 | c<m>.0");
+        assert_eq!(
+            shape(server, false),
+            "a(x).b<x>.0 | (!a(x).b<x>.0 | c<m>.0)"
+        );
+        // A body with a replication of its own is never absorbed: a copy
+        // unfolded from the outer `!` gets a smaller inner budget.
+        assert_eq!(shape("!a(x).0 | !!a(x).0", true), "!a(x).0 | !!a(x).0");
     }
 
     #[test]

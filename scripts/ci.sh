@@ -14,6 +14,10 @@ echo "==> differential solver suite (sequential / reference)"
 cargo test -q --test differential
 cargo test -q --test provenance_stats
 
+echo "==> presentation walls (witness selector vs render-all rule, explorer vs alpha-only search)"
+cargo test -q --test witness_wall
+cargo test -q --test explore_wall
+
 echo "==> lint golden files (incl. ns-lowe / splice-as and their broken variants)"
 cargo test -q --test lint_golden
 

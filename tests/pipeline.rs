@@ -2,8 +2,10 @@
 //! re-parse → analyse → audit, across the whole protocol suite.
 
 use nuspi::protocols::suite;
-use nuspi::{Analyzer, ExecConfig};
+use nuspi::{Analyzer, ExecConfig, Policy};
 use nuspi_cfa::accept;
+use nuspi_security::{audit, AuditConfig};
+use std::collections::BTreeSet;
 
 #[test]
 fn audits_match_expected_verdicts_across_the_suite() {
@@ -25,6 +27,33 @@ fn audits_match_expected_verdicts_across_the_suite() {
         if spec.expect_confined {
             assert!(audit.carefulness.is_careful(), "{}", spec.name);
         }
+    }
+}
+
+#[test]
+fn audit_bodies_do_not_depend_on_the_policy_hasher() {
+    // `Policy` keeps its secrets in a hash set whose hasher is seeded
+    // per instance; the rendered audit must not inherit that order. Each
+    // spec is audited under the two secrets its intruder reveals (the
+    // unrevealed ones only cost full searches).
+    for (name, revealed) in [
+        ("wmf-key-in-clear", ["kAB", "m"]),
+        ("otway-rees-key-in-clear", ["kab", "m"]),
+        ("andrew-key-in-clear", ["kabp", "m"]),
+        ("denning-sacco-public-ticket", ["kab", "m"]),
+        ("kerberos-debug-tap", ["kcs", "m"]),
+        ("splice-as-ticket-in-clear", ["kcs", "m"]),
+    ] {
+        let spec = suite().into_iter().find(|s| s.name == name).expect(name);
+        let bodies: BTreeSet<String> = (0..8)
+            .map(|_| {
+                let policy = Policy::with_secrets(revealed);
+                audit(&spec.process, &policy, &AuditConfig::default()).to_string()
+            })
+            .collect();
+        assert_eq!(bodies.len(), 1, "{name}: {bodies:#?}");
+        let body = bodies.first().unwrap();
+        assert_eq!(body.matches("reveals").count(), 2, "{name}: {body}");
     }
 }
 
