@@ -16,8 +16,8 @@ use crate::report::{timed, timed_stable, BenchReport, Table};
 use crate::workloads;
 use nuspi_cfa::{analyze, analyze_with_attacker, solve, Constraints};
 use nuspi_diagnostics::{lint, LintContext, PassRegistry};
-use nuspi_engine::jsonio::escape;
-use nuspi_engine::{AnalysisEngine, ProcessInput, Request, Response};
+use nuspi_engine::jsonio::{escape, Json};
+use nuspi_engine::{answer_line, AnalysisEngine, ProcessInput, Request, Response};
 use nuspi_equiv::{check, independence_oracle, mutations, EquivConfig, Verdict};
 use nuspi_net::{spawn, DiskStore, NetConfig, StoreConfig};
 use nuspi_protocols::{broken_twins, open_examples, suite, wmf};
@@ -265,9 +265,11 @@ fn percentile(sorted: &[Duration], q: f64) -> Duration {
 
 /// Engine throughput over the protocol suite, cold vs warm cache, plus
 /// the `serve-net` phase: the same engine behind the TCP transport
-/// under concurrent closed-loop clients and a disk store. The warm
-/// rounds and the cache/store counters are identical in smoke and full
-/// mode, so the exact metrics always match the committed baseline.
+/// under concurrent closed-loop clients and a disk store, and the
+/// size-dependent front door (a cold 200x4 `solve` line, and the decode
+/// of a 1000x4 one). The warm rounds, the cache/store counters and the
+/// solve body's length are identical in smoke and full mode, so the
+/// exact metrics always match the committed baseline.
 pub fn engine(smoke: bool) -> SuiteRun {
     const WARM_ROUNDS: u32 = 5;
     let requests = suite_requests();
@@ -444,6 +446,48 @@ pub fn engine(smoke: bool) -> SuiteRun {
         store.admits, store.entries
     ));
 
+    // The size-dependent front door: one cold ~33 KB `solve` line
+    // through `answer_line` + `to_line` (a fresh engine per run, so
+    // every run misses), and the request decode of a ~175 KB line.
+    let solve_line = |sessions: usize| {
+        format!(
+            "{{\"op\":\"solve\",\"process\":\"{}\"}}",
+            escape(&workloads::interleaved_source(sessions, 4, 1))
+        )
+    };
+    let line = solve_line(200);
+    let cold_solve = || {
+        let cold_engine = AnalysisEngine::with_jobs(1);
+        timed(|| {
+            let response = answer_line(&cold_engine, &line).remove(0);
+            std::hint::black_box(response.to_line());
+            response
+        })
+    };
+    // One untimed run first: its first-touch costs are not the front
+    // door's.
+    let (response, _) = cold_solve();
+    assert!(response.is_ok() && !response.cached, "{}", response.body);
+    let body_bytes = response.body.len();
+    let mut runs = 0u32;
+    let mut solve_total = Duration::ZERO;
+    while runs == 0 || solve_total < budget(smoke) {
+        solve_total += cold_solve().1;
+        runs += 1;
+    }
+    let solve_cold = solve_total / runs;
+    let big = solve_line(1000);
+    let decode = timed_stable(budget(smoke), || {
+        std::hint::black_box(Json::parse(&big).expect("valid line"));
+    });
+    human.push_str(&format!(
+        "\nfront door: cold solve 200x4 ({} B line, {body_bytes} B body) {}   decode 1000x4 ({} B line) {}\n",
+        line.len(),
+        fmt_ms(solve_cold),
+        big.len(),
+        fmt_ms(decode)
+    ));
+
     let mut report = BenchReport::new("engine", smoke);
     report.time("cold-batch", cold);
     report.time("warm-batch", warm);
@@ -463,6 +507,9 @@ pub fn engine(smoke: bool) -> SuiteRun {
     report.exact("serve-net/responses", net.responses);
     report.exact("serve-net/store-admits", store.admits);
     report.exact("serve-net/store-entries", store.entries);
+    report.time("frontdoor/solve-200x4", solve_cold);
+    report.exact("frontdoor/solve-200x4/body-bytes", body_bytes as u64);
+    report.time("jsonio/decode-1000x4", decode);
     SuiteRun { human, report }
 }
 

@@ -12,9 +12,9 @@
 
 use crate::domain::{FlowVar, Prod, VarId};
 use crate::solver::Solution;
-use nuspi_syntax::{Process, Var};
+use nuspi_syntax::{Label, Process, Var};
 use std::collections::{HashMap, HashSet};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Collects binding occurrences of variables in pre-order — the same
 /// traversal order as [`Process::labels`], so ordinals derived from it
@@ -176,25 +176,53 @@ impl Solution {
             out.push('…');
             return;
         }
-        let mut rendered: Vec<String> = prods
-            .iter()
-            .map(|p| {
-                let mut s = String::new();
-                self.render_prod_into(p, depth - 1, seen, &mut s);
-                s
-            })
-            .collect();
-        rendered.sort();
-        match rendered.len() {
+        match prods.len() {
             0 => out.push('∅'),
-            1 => out.push_str(&rendered[0]),
+            1 => self.render_sorted_into(prods, depth - 1, seen, " | ", out),
             _ => {
                 out.push('{');
-                out.push_str(&rendered.join(" | "));
+                self.render_sorted_into(prods, depth - 1, seen, " | ", out);
                 out.push('}');
             }
         }
         seen.remove(&id);
+    }
+
+    /// Appends the renderings of `prods` at `depth` to `out`, sorted and
+    /// joined by `sep`. Each production is rendered once, in place; when
+    /// there are several, the sorted copy is appended after them and the
+    /// unsorted renderings are then cut out, so nothing is allocated per
+    /// item.
+    fn render_sorted_into(
+        &self,
+        prods: &HashSet<Prod>,
+        depth: usize,
+        seen: &mut HashSet<VarId>,
+        sep: &str,
+        out: &mut String,
+    ) {
+        if prods.len() < 2 {
+            for p in prods {
+                self.render_prod_into(p, depth, seen, out);
+            }
+            return;
+        }
+        let start = out.len();
+        let mut items = Vec::with_capacity(prods.len());
+        for p in prods {
+            let from = out.len();
+            self.render_prod_into(p, depth, seen, out);
+            items.push(from..out.len());
+        }
+        items.sort_unstable_by(|a, b| out[a.clone()].cmp(&out[b.clone()]));
+        let end = out.len();
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                out.push_str(sep);
+            }
+            out.extend_from_within(item);
+        }
+        out.drain(start..end);
     }
 
     fn render_prod_into(
@@ -242,52 +270,36 @@ impl Solution {
 
     /// Renders the set of productions of a flow variable.
     pub fn render_set(&self, fv: FlowVar, depth: usize) -> String {
-        let mut items: Vec<String> = self
-            .prods_of(fv)
-            .iter()
-            .map(|p| self.render_production(p, depth))
-            .collect();
-        items.sort();
-        if items.is_empty() {
-            "∅".to_owned()
-        } else {
-            format!("{{ {} }}", items.join(", "))
+        let mut out = String::new();
+        self.render_set_into(self.prods_of(fv), depth, &mut HashSet::new(), &mut out);
+        out
+    }
+
+    /// Appends `∅`, or `{ p1, p2, … }` with the renderings sorted.
+    /// `seen` must be empty, and is empty again on return.
+    fn render_set_into(
+        &self,
+        prods: &HashSet<Prod>,
+        depth: usize,
+        seen: &mut HashSet<VarId>,
+        out: &mut String,
+    ) {
+        if prods.is_empty() {
+            out.push('∅');
+            return;
         }
+        out.push_str("{ ");
+        self.render_sorted_into(prods, depth, seen, ", ", out);
+        out.push_str(" }");
     }
 
     /// Dumps the whole estimate `(ρ, κ, ζ)` in the presentation order of
     /// the paper's Example 1: `κ` (channels) first, then `ρ` (variables),
-    /// then `ζ` (labels). Auxiliary nonterminals are skipped.
+    /// then `ζ` (labels). Auxiliary nonterminals are skipped. Variables
+    /// print as `x#id` and labels as `ℓi`, with their raw run-minted
+    /// indices.
     pub fn render_estimate(&self, depth: usize) -> String {
-        let mut kappas = Vec::new();
-        let mut rhos = Vec::new();
-        let mut zetas = Vec::new();
-        for (_, fv) in self.flow_vars() {
-            match fv {
-                FlowVar::Kappa(n) => {
-                    kappas.push((n.as_str().to_owned(), self.render_set(fv, depth)))
-                }
-                FlowVar::Rho(x) => {
-                    rhos.push((format!("{x}#{}", x.id()), self.render_set(fv, depth)))
-                }
-                FlowVar::Zeta(l) => zetas.push((l.index(), self.render_set(fv, depth))),
-                FlowVar::Aux(_) => {}
-            }
-        }
-        kappas.sort();
-        rhos.sort();
-        zetas.sort_by_key(|(l, _)| *l);
-        let mut out = String::new();
-        for (n, set) in kappas {
-            let _ = writeln!(out, "κ({n}) = {set}");
-        }
-        for (x, set) in rhos {
-            let _ = writeln!(out, "ρ({x}) = {set}");
-        }
-        for (l, set) in zetas {
-            let _ = writeln!(out, "ζ(ℓ{l}) = {set}");
-        }
-        out
+        self.render_estimate_with(depth, |x| format!("{x}#{}", x.id()), Label::index)
     }
 
     /// Like [`render_estimate`](Solution::render_estimate), but prints
@@ -310,56 +322,94 @@ impl Solution {
         bound_vars_into(p, &mut vars);
         let var_ordinals: HashMap<_, _> =
             vars.into_iter().enumerate().map(|(i, v)| (v, i)).collect();
-        let mut kappas = Vec::new();
-        let mut rhos = Vec::new();
-        let mut zetas = Vec::new();
-        for (_, fv) in self.flow_vars() {
-            match fv {
-                FlowVar::Kappa(n) => {
-                    kappas.push((n.as_str().to_owned(), self.render_set(fv, depth)))
-                }
-                FlowVar::Rho(x) => {
-                    let ordinal = var_ordinals.get(&x).copied();
-                    rhos.push((
-                        ordinal,
-                        x.symbol().as_str().to_owned(),
-                        self.render_set(fv, depth),
-                    ))
-                }
-                FlowVar::Zeta(l) => {
-                    zetas.push((label_ordinals.get(&l).copied(), self.render_set(fv, depth)))
-                }
-                FlowVar::Aux(_) => {}
-            }
+        self.render_estimate_with(
+            depth,
+            |x| OrdinalVar {
+                ordinal: Ordinal(var_ordinals.get(&x).copied()),
+                name: x.symbol().as_str(),
+            },
+            |l| Ordinal(label_ordinals.get(&l).copied()),
+        )
+    }
+
+    /// The one estimate dump behind both public forms: `rho` and `zeta`
+    /// give each ρ and ζ entry its sort key, which also prints inside
+    /// `ρ(…)` and after the `ℓ` of `ζ(ℓ…)`.
+    ///
+    /// Every set renders into one buffer (sharing one `seen` set, which
+    /// [`render_var_into`](Solution::render_var_into) leaves empty), and
+    /// the lines sort on (section, key, set text) through ranges into
+    /// it. That is the order of the historical per-section tuple sort,
+    /// ties included: two lines equal on all three print identically.
+    fn render_estimate_with<R: Ord + fmt::Display, Z: Ord + fmt::Display>(
+        &self,
+        depth: usize,
+        rho: impl Fn(Var) -> R,
+        zeta: impl Fn(Label) -> Z,
+    ) -> String {
+        let mut sets = String::new();
+        let mut seen = HashSet::new();
+        let mut lines = Vec::new();
+        for (id, fv) in self.flow_vars() {
+            let head = match fv {
+                FlowVar::Kappa(n) => Head::Kappa(n.as_str()),
+                FlowVar::Rho(x) => Head::Rho(rho(x)),
+                FlowVar::Zeta(l) => Head::Zeta(zeta(l)),
+                FlowVar::Aux(_) => continue,
+            };
+            let from = sets.len();
+            self.render_set_into(self.prods_of_id(id), depth, &mut seen, &mut sets);
+            lines.push((head, from..sets.len()));
         }
-        kappas.sort();
-        rhos.sort();
-        zetas.sort();
-        let mut out = String::new();
-        for (n, set) in kappas {
-            let _ = writeln!(out, "κ({n}) = {set}");
-        }
-        for (ordinal, x, set) in rhos {
-            match ordinal {
-                Some(i) => {
-                    let _ = writeln!(out, "ρ({x}#{i}) = {set}");
-                }
-                None => {
-                    let _ = writeln!(out, "ρ({x}#?) = {set}");
-                }
-            }
-        }
-        for (ordinal, set) in zetas {
-            match ordinal {
-                Some(i) => {
-                    let _ = writeln!(out, "ζ(ℓ#{i}) = {set}");
-                }
-                None => {
-                    let _ = writeln!(out, "ζ(ℓ#?) = {set}");
-                }
-            }
+        lines.sort_unstable_by(|(a, x), (b, y)| {
+            a.cmp(b).then_with(|| sets[x.clone()].cmp(&sets[y.clone()]))
+        });
+        let mut out = String::with_capacity(sets.len() + 16 * lines.len());
+        for (head, set) in lines {
+            let _ = match head {
+                Head::Kappa(n) => write!(out, "κ({n}) = "),
+                Head::Rho(x) => write!(out, "ρ({x}) = "),
+                Head::Zeta(l) => write!(out, "ζ(ℓ{l}) = "),
+            };
+            out.push_str(&sets[set]);
+            out.push('\n');
         }
         out
+    }
+}
+
+/// An estimate line's section and sort key, in presentation order.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+enum Head<R, Z> {
+    Kappa(&'static str),
+    Rho(R),
+    Zeta(Z),
+}
+
+/// A pre-order ordinal, printed `#i`; `#?` for a binder not in the
+/// process, which sorts first.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Ordinal(Option<usize>);
+
+impl fmt::Display for Ordinal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some(i) => write!(f, "#{i}"),
+            None => f.write_str("#?"),
+        }
+    }
+}
+
+/// A variable by ordinal, then name; printed `x#i`.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct OrdinalVar {
+    ordinal: Ordinal,
+    name: &'static str,
+}
+
+impl fmt::Display for OrdinalVar {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}{}", self.name, self.ordinal)
     }
 }
 

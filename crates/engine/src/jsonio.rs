@@ -34,6 +34,7 @@ impl Json {
     /// trailing garbage rejected).
     pub fn parse(src: &str) -> Result<Json, String> {
         let mut p = Parser {
+            src,
             bytes: src.as_bytes(),
             pos: 0,
             depth: 0,
@@ -114,6 +115,7 @@ impl Json {
 pub const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -209,61 +211,78 @@ impl Parser<'_> {
         Ok(v)
     }
 
+    /// Reads a string literal. Each maximal run of bytes other than `"`
+    /// and `\` is copied with one `push_str`: both delimiters are ASCII,
+    /// so a run starts and ends on a char boundary of the `&str` input
+    /// and needs no re-validation.
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .map_or(self.bytes.len(), |n| self.pos + n);
+            out.push_str(&self.src[self.pos..run]);
+            self.pos = run;
             match self.peek() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xd800..0xdc00).contains(&hi) {
-                                // Surrogate pair: expect \uXXXX low half.
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    let combined = 0x10000
-                                        + ((u32::from(hi) - 0xd800) << 10)
-                                        + (u32::from(lo) - 0xdc00);
-                                    char::from_u32(combined).unwrap_or('\u{fffd}')
-                                } else {
-                                    '\u{fffd}'
-                                }
-                            } else {
-                                char::from_u32(u32::from(hi)).unwrap_or('\u{fffd}')
-                            };
-                            out.push(c);
-                            continue;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
+                // The run stopped at the other delimiter, a backslash.
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).expect("utf8");
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    self.pos += 1;
+                    self.unescape_into(&mut out)?;
                 }
             }
         }
+    }
+
+    /// Decodes one escape; `pos` is just past its backslash.
+    fn unescape_into(&mut self, out: &mut String) -> Result<(), String> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b't') => '\t',
+            Some(b'r') => '\r',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                self.pos += 1;
+                return self.unicode_into(out);
+            }
+            _ => return Err(format!("bad escape at byte {}", self.pos)),
+        };
+        out.push(c);
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// Decodes a `\uXXXX` escape (`pos` is just past the `u`) the way
+    /// `String::from_utf16_lossy` decodes its code units: a high surrogate
+    /// directly followed by a `\u` low surrogate combines into one scalar;
+    /// any other surrogate becomes U+FFFD, and a `\u` escape after an
+    /// unpaired high half is then decoded on its own.
+    fn unicode_into(&mut self, out: &mut String) -> Result<(), String> {
+        let mut unit = self.hex4()?;
+        while (0xd800..0xdc00).contains(&unit) && self.bytes[self.pos..].starts_with(b"\\u") {
+            self.pos += 2;
+            let next = self.hex4()?;
+            if (0xdc00..0xe000).contains(&next) {
+                let combined =
+                    0x10000 + ((u32::from(unit) - 0xd800) << 10) + (u32::from(next) - 0xdc00);
+                out.push(char::from_u32(combined).unwrap_or('\u{fffd}'));
+                return Ok(());
+            }
+            out.push('\u{fffd}');
+            unit = next;
+        }
+        out.push(char::from_u32(u32::from(unit)).unwrap_or('\u{fffd}'));
+        Ok(())
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -321,22 +340,29 @@ impl Parser<'_> {
 /// Escapes a string for a JSON string literal (control characters,
 /// quotes, backslashes; non-ASCII passes through as UTF-8). Same
 /// discipline as the diagnostics backend, so embedded reports and
-/// protocol fields escape identically.
+/// protocol fields escape identically. Every escaped character is
+/// ASCII, so the verbatim runs between them are copied as slices.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out
 }
 

@@ -50,6 +50,9 @@ fn adversarial_lines() -> Vec<String> {
         "42".to_owned(),
         "\"solve\"".to_owned(),
         "{\"op\":\"no-such-op\"}".to_owned(),
+        // A high surrogate followed by a `\u` escape that is no low half:
+        // decodes to U+FFFD then `A`, which is not a process.
+        "{\"op\":\"solve\",\"process\":\"\\ud800\\u0041\"}".to_owned(),
     ];
     // Nesting far past the parser's cap, in every container shape.
     lines.push(format!(
@@ -59,6 +62,11 @@ fn adversarial_lines() -> Vec<String> {
     ));
     lines.push("[".repeat(50_000));
     lines.push(format!("{}0", "{\"a\":".repeat(MAX_DEPTH + 10)));
+    // An oversized line: a `solve` whose 1 MB+ process string (multi-byte
+    // text and escapes throughout) does not parse. Decoding it is linear.
+    let junk = "(new k) c<{m, new r}:k>.0 | \u{e9}\\t\\\"\u{1f980} ".repeat(1 << 15);
+    assert!(junk.len() >= 1 << 20);
+    lines.push(format!("{{\"op\":\"solve\",\"process\":\"{junk}\"}}"));
     lines
 }
 
@@ -153,6 +161,21 @@ fn unicode_escape_edge_cases() {
     assert_eq!(
         Json::parse("\"\\ud83e\\udd80\"").unwrap().as_str(),
         Some("🦀")
+    );
+    // A high surrogate followed by a `\u` escape that is not a low half:
+    // U+FFFD for the unpaired half, then the second escape decoded on its
+    // own, as `String::from_utf16_lossy` decodes the same code units.
+    assert_eq!(
+        Json::parse("\"\\ud800\\u0041\"").unwrap().as_str(),
+        Some("\u{fffd}A")
+    );
+    assert_eq!(
+        Json::parse("\"\\udbff\\ud800\"").unwrap().as_str(),
+        Some("\u{fffd}\u{fffd}")
+    );
+    assert_eq!(
+        Json::parse("\"\\ud800\\ud83e\\udd80\"").unwrap().as_str(),
+        Some("\u{fffd}🦀")
     );
     // Truncated escapes are errors, not panics.
     for bad in [

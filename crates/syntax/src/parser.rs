@@ -93,9 +93,11 @@ impl fmt::Display for ParseError {
 
 impl Error for ParseError {}
 
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
+/// A token. Identifiers borrow their text from the source, so a token
+/// is `Copy` and lexing allocates only the token vector.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Tok<'a> {
+    Ident(&'a str),
     Num(u32),
     LParen,
     RParen,
@@ -121,7 +123,7 @@ enum Tok {
     KwSuc,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "identifier `{s}`"),
@@ -152,7 +154,7 @@ impl fmt::Display for Tok {
     }
 }
 
-fn lex(src: &str) -> Result<Vec<(Tok, usize)>, ParseError> {
+fn lex(src: &str) -> Result<Vec<(Tok<'_>, usize)>, ParseError> {
     let bytes = src.as_bytes();
     let mut toks = Vec::new();
     let mut i = 0;
@@ -209,7 +211,7 @@ fn lex(src: &str) -> Result<Vec<(Tok, usize)>, ParseError> {
                     "case" => Tok::KwCase,
                     "of" => Tok::KwOf,
                     "suc" => Tok::KwSuc,
-                    _ => Tok::Ident(word.to_owned()),
+                    _ => Tok::Ident(word),
                 };
                 toks.push((tok, start));
             }
@@ -219,7 +221,7 @@ fn lex(src: &str) -> Result<Vec<(Tok, usize)>, ParseError> {
     Ok(toks)
 }
 
-fn push(toks: &mut Vec<(Tok, usize)>, t: Tok, i: &mut usize) {
+fn push<'a>(toks: &mut Vec<(Tok<'a>, usize)>, t: Tok<'a>, i: &mut usize) {
     toks.push((t, *i));
     *i += 1;
 }
@@ -230,16 +232,16 @@ enum Binding {
     Restricted(Name),
 }
 
-struct Parser {
-    toks: Vec<(Tok, usize)>,
+struct Parser<'a> {
+    toks: Vec<(Tok<'a>, usize)>,
     pos: usize,
-    scope: Vec<(String, Binding)>,
+    scope: Vec<(&'a str, Binding)>,
     src_len: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|(t, _)| t)
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.pos).map(|&(t, _)| t)
     }
 
     fn offset(&self) -> usize {
@@ -249,8 +251,8 @@ impl Parser {
             .unwrap_or(self.src_len)
     }
 
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|(t, _)| t.clone());
+    fn bump(&mut self) -> Option<Tok<'a>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
@@ -261,21 +263,18 @@ impl Parser {
         Err(ParseError::new(self.offset(), message.into()))
     }
 
-    fn expect(&mut self, want: Tok) -> Result<(), ParseError> {
+    fn expect(&mut self, want: Tok<'a>) -> Result<(), ParseError> {
         match self.peek() {
-            Some(t) if *t == want => {
+            Some(t) if t == want => {
                 self.pos += 1;
                 Ok(())
             }
-            Some(t) => {
-                let got = t.clone();
-                self.err(format!("expected {want}, found {got}"))
-            }
+            Some(got) => self.err(format!("expected {want}, found {got}")),
             None => self.err(format!("expected {want}, found end of input")),
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String, ParseError> {
+    fn expect_ident(&mut self) -> Result<&'a str, ParseError> {
         match self.bump() {
             Some(Tok::Ident(s)) => Ok(s),
             Some(t) => {
@@ -291,7 +290,7 @@ impl Parser {
     /// produced by the pretty-printer).
     fn resolve(&self, ident: &str) -> Term {
         for (bound, binding) in self.scope.iter().rev() {
-            if bound == ident {
+            if *bound == ident {
                 return match binding {
                     Binding::Variable(v) => Term::Var(*v),
                     Binding::Restricted(n) => Term::Name(*n),
@@ -306,10 +305,10 @@ impl Parser {
     /// distinct identities while sharing the canonical base.
     fn with_name<T>(
         &mut self,
-        ident: String,
-        f: impl FnOnce(&mut Parser, Name) -> Result<T, ParseError>,
+        ident: &'a str,
+        f: impl FnOnce(&mut Parser<'a>, Name) -> Result<T, ParseError>,
     ) -> Result<T, ParseError> {
-        let base = parse_name_literal(&ident);
+        let base = parse_name_literal(ident);
         let shadowed = self.scope.iter().any(|(s, _)| *s == ident);
         let name = if shadowed { base.freshen() } else { base };
         self.scope.push((ident, Binding::Restricted(name)));
@@ -321,10 +320,10 @@ impl Parser {
     /// Binds `ident` as a variable for the duration of `f`.
     fn with_var<T>(
         &mut self,
-        ident: String,
-        f: impl FnOnce(&mut Parser, Var) -> Result<T, ParseError>,
+        ident: &'a str,
+        f: impl FnOnce(&mut Parser<'a>, Var) -> Result<T, ParseError>,
     ) -> Result<T, ParseError> {
-        let v = Var::fresh(ident.as_str());
+        let v = Var::fresh(ident);
         self.scope.push((ident, Binding::Variable(v)));
         let r = f(self, v);
         self.scope.pop();
@@ -333,15 +332,15 @@ impl Parser {
 
     fn with_vars<T>(
         &mut self,
-        idents: Vec<String>,
-        f: impl FnOnce(&mut Parser, Vec<Var>) -> Result<T, ParseError>,
+        idents: Vec<&'a str>,
+        f: impl FnOnce(&mut Parser<'a>, Vec<Var>) -> Result<T, ParseError>,
     ) -> Result<T, ParseError> {
-        let vars: Vec<Var> = idents.iter().map(|s| Var::fresh(s.as_str())).collect();
-        for (s, v) in idents.iter().zip(&vars) {
-            self.scope.push((s.clone(), Binding::Variable(*v)));
+        let vars: Vec<Var> = idents.iter().map(|&s| Var::fresh(s)).collect();
+        for (&s, &v) in idents.iter().zip(&vars) {
+            self.scope.push((s, Binding::Variable(v)));
         }
-        let r = f(self, vars.clone());
-        for _ in &vars {
+        let r = f(self, vars);
+        for _ in &idents {
             self.scope.pop();
         }
         r
@@ -351,7 +350,7 @@ impl Parser {
 
     fn parse_par(&mut self) -> Result<Process, ParseError> {
         let mut p = self.parse_prefix()?;
-        while self.peek() == Some(&Tok::Pipe) {
+        while self.peek() == Some(Tok::Pipe) {
             self.pos += 1;
             let q = self.parse_prefix()?;
             p = Process::Par(Box::new(p), Box::new(q));
@@ -427,7 +426,7 @@ impl Parser {
                     Some(Tok::LBrace) => {
                         self.pos += 1;
                         let mut idents = vec![self.expect_ident()?];
-                        while self.peek() == Some(&Tok::Comma) {
+                        while self.peek() == Some(Tok::Comma) {
                             self.pos += 1;
                             idents.push(self.expect_ident()?);
                         }
@@ -451,7 +450,7 @@ impl Parser {
             Some(Tok::LParen) => {
                 // Restriction, parenthesized process, or a pair expression
                 // opening an output/input prefix.
-                if self.toks.get(self.pos + 1).map(|(t, _)| t) == Some(&Tok::KwNew) {
+                if self.toks.get(self.pos + 1).map(|&(t, _)| t) == Some(Tok::KwNew) {
                     self.pos += 2;
                     let ident = self.expect_ident()?;
                     self.expect(Tok::RParen)?;
@@ -463,7 +462,7 @@ impl Parser {
                         })
                     });
                 }
-                if self.toks.get(self.pos + 1).map(|(t, _)| t) == Some(&Tok::KwHide) {
+                if self.toks.get(self.pos + 1).map(|&(t, _)| t) == Some(Tok::KwHide) {
                     self.pos += 2;
                     let ident = self.expect_ident()?;
                     self.expect(Tok::RParen)?;
@@ -549,7 +548,7 @@ impl Parser {
 
     fn parse_expr_atom(&mut self) -> Result<Expr, ParseError> {
         match self.bump() {
-            Some(Tok::Ident(s)) => Ok(Expr::new(self.resolve(&s))),
+            Some(Tok::Ident(s)) => Ok(Expr::new(self.resolve(s))),
             Some(Tok::Num(n)) => Ok(builder::numeral(n)),
             Some(Tok::KwSuc) => {
                 self.expect(Tok::LParen)?;
@@ -566,9 +565,9 @@ impl Parser {
             }
             Some(Tok::LBrace) => {
                 let mut payload = Vec::new();
-                let mut confounder: Option<String> = None;
+                let mut confounder = None;
                 loop {
-                    if self.peek() == Some(&Tok::KwNew) {
+                    if self.peek() == Some(Tok::KwNew) {
                         self.pos += 1;
                         confounder = Some(self.expect_ident()?);
                         break;
@@ -585,7 +584,7 @@ impl Parser {
                 self.expect(Tok::Colon)?;
                 let key = self.parse_expr_atom()?;
                 match confounder {
-                    Some(ident) => Ok(builder::enc(payload, parse_name_literal(&ident), key)),
+                    Some(ident) => Ok(builder::enc(payload, parse_name_literal(ident), key)),
                     None => Ok(builder::enc_auto(payload, key)),
                 }
             }

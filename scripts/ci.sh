@@ -18,6 +18,11 @@ echo "==> presentation walls (witness selector vs render-all rule, explorer vs a
 cargo test -q --test witness_wall
 cargo test -q --test explore_wall
 
+echo "==> front-door walls (run-copy JSON reader/escape, one-buffer estimate dumps, parse error texts)"
+cargo test -q --test jsonio_wall
+cargo test -q --test render_wall
+cargo test -q --test parse_error_wall
+
 echo "==> lint golden files (incl. ns-lowe / splice-as and their broken variants)"
 cargo test -q --test lint_golden
 
