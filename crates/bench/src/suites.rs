@@ -980,6 +980,35 @@ pub fn equiv(smoke: bool) -> SuiteRun {
         );
         report.exact(&format!("oracle/{}/plays", spec.name), r.plays as u64);
     }
+    // One oracle at the engine's default budgets, the ones `nuspi serve`
+    // plays: denning-sacco runs into the 20,000-play cap, as six of the
+    // nine honest zoo oracle pairs do.
+    let spec = suite()
+        .into_iter()
+        .find(|s| s.name == "denning-sacco")
+        .expect("denning-sacco is a zoo spec");
+    let (open, x) = spec
+        .process
+        .abstract_restriction(spec.secret)
+        .expect("suite spec abstracts");
+    let public = public_names(&spec, &open);
+    let defaults = EquivConfig::default();
+    let t = timed_stable(b, || {
+        let _ = independence_oracle(&open, x, &public, &defaults);
+    });
+    let r = independence_oracle(&open, x, &public, &defaults);
+    oracle_table.row([
+        "oracle-default/denning-sacco".to_owned(),
+        fmt_ms(t),
+        r.verdict.tag().to_owned(),
+        r.plays.to_string(),
+    ]);
+    report.time("oracle-default/denning-sacco", t);
+    report.exact(
+        "oracle-default/denning-sacco/verdict",
+        verdict_code(&r.verdict),
+    );
+    report.exact("oracle-default/denning-sacco/plays", r.plays as u64);
     human.push_str(&oracle_table.render());
     human.push('\n');
 

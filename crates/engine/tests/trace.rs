@@ -6,7 +6,8 @@
 //! takes `RECORDER_LOCK` so they never race it.
 
 use nuspi_engine::jsonio::Json;
-use nuspi_engine::{serve, AnalysisEngine, Request};
+use nuspi_engine::{serve, AnalysisEngine, EngineConfig, Request};
+use nuspi_equiv::EquivConfig;
 use std::sync::Mutex;
 
 static RECORDER_LOCK: Mutex<()> = Mutex::new(());
@@ -218,5 +219,45 @@ fn budget_counters_are_recorded_without_changing_bodies() {
     assert!(nuspi_obs::counter_value("cfa.render.elided") > 0);
     assert!(nuspi_obs::counter_value("semantics.explore.states") > 0);
     assert_eq!(nuspi_obs::counter_value("semantics.explore.truncated"), 1);
+    nuspi_obs::reset();
+}
+
+#[test]
+fn equiv_game_counters_are_recorded_without_changing_bodies() {
+    let _g = RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    nuspi_obs::reset();
+    // Two plays cannot settle a guard on two injected inputs: the game
+    // ends `unknown`, naming the play budget.
+    let run = || {
+        let engine = AnalysisEngine::new(EngineConfig {
+            jobs: 1,
+            equiv: EquivConfig {
+                max_plays: 2,
+                ..EquivConfig::default()
+            },
+            ..EngineConfig::default()
+        });
+        engine
+            .submit(Request::equiv(
+                "c(x). c(y). [x is y] d<0>.0",
+                "c(x). c(y). d<0>.0",
+            ))
+            .body
+            .to_string()
+    };
+    let quiet = run();
+    nuspi_obs::enable();
+    let traced = run();
+    nuspi_obs::disable();
+    assert_eq!(quiet, traced, "tracing must never change response bytes");
+    assert!(quiet.contains("\"verdict\":\"unknown\""), "{quiet}");
+    assert!(quiet.contains("\"plays\""), "{quiet}");
+    let plays = nuspi_obs::counter_value("equiv.plays");
+    let positions = nuspi_obs::counter_value("equiv.positions");
+    assert!(
+        0 < positions && positions <= plays,
+        "{positions} of {plays}"
+    );
+    assert_eq!(nuspi_obs::counter_value("equiv.budget.plays"), 1);
     nuspi_obs::reset();
 }

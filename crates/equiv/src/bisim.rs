@@ -25,15 +25,21 @@
 //!
 //! The search iteratively deepens on game depth, so reported
 //! distinguishing traces are shortest-first and independent of budget
-//! slack. Memoisation keys are index-normalised exact renderings of
-//! (left, right, hedge) — α-invariant across runs and worker counts, so
-//! verdicts, play counts, and traces are bit-identical at any parallelism.
+//! slack. The memo key of a position is one structural walk over (left,
+//! right, hedge) that hashes the tokens their rendering prints, fresh
+//! indices renumbered in order of first occurrence (`key.rs`) — so it is
+//! α-invariant across runs and worker counts, and verdicts, play counts,
+//! and traces are bit-identical at any parallelism.
+//!
+//! A play pays for its position, not its printout: a leaf (no fuel
+//! left) only asks whether any move exists, and a trace line stays data
+//! (`Line`) until a trace that wins needs its text (DESIGN.md §14).
 
-use crate::hedge::Hedge;
+use crate::hedge::{Hedge, Inconsistency};
+use crate::key::state_key;
 use nuspi_semantics::{tau_closure, Action, Agent, Commitment, EvalMode, ExecConfig};
-use nuspi_syntax::{builder, canonical_digest, Process, StableHasher128, Symbol, Value};
+use nuspi_syntax::{builder, canonical_digest, Name, Process, Symbol, Value};
 use std::collections::{BTreeSet, HashMap};
-use std::hash::Hasher as _;
 use std::rc::Rc;
 
 /// Budgets of the bounded game.
@@ -135,9 +141,14 @@ pub fn check_with_hedge(
     cfg: &EquivConfig,
 ) -> EquivReport {
     let _span = nuspi_obs::span!("equiv.check");
-    if canonical_digest(left) == canonical_digest(right) {
-        // α-equivalent processes are bisimilar under any consistent
-        // hedge that pairs their free names with themselves.
+    let identity = |(l, r): &(Rc<Value>, Rc<Value>)| l == r;
+    if hedge.pairs().iter().chain(hedge.replays()).all(identity)
+        && canonical_digest(left) == canonical_digest(right)
+    {
+        // α-equivalent processes are bisimilar under a hedge that pairs
+        // every value with itself. Under any other hedge the attacker
+        // may still tell them apart (`c<a>.0` against itself, once it
+        // holds the pair `(a, b)`), so the game is played.
         count_verdict("bisimilar");
         return EquivReport {
             verdict: Verdict::Bisimilar,
@@ -145,14 +156,7 @@ pub fn check_with_hedge(
             depth: 0,
         };
     }
-    let mut game = Game {
-        cfg: *cfg,
-        plays: 0,
-        exhausted: BTreeSet::new(),
-        depth_cutoff: false,
-        memo: HashMap::new(),
-        closures: HashMap::new(),
-    };
+    let mut game = Game::new(*cfg);
     let mut depth = 0;
     let mut out_of_plays = false;
     let mut report_verdict = None;
@@ -192,6 +196,12 @@ pub fn check_with_hedge(
     count_verdict(verdict.tag());
     if nuspi_obs::enabled() {
         nuspi_obs::counter("equiv.plays", game.plays as u64);
+        nuspi_obs::counter("equiv.positions", game.positions as u64);
+        if let Verdict::Unknown { budgets } = &verdict {
+            for b in budgets {
+                nuspi_obs::counter(&format!("equiv.budget.{b}"), 1);
+            }
+        }
     }
     EquivReport {
         verdict,
@@ -247,15 +257,67 @@ enum Outcome {
     NoDistinction,
 }
 
+/// One line of a distinguishing trace, kept as data: its text is built
+/// only when the line joins a trace that wins.
+enum Line {
+    /// The attacker watches `side` emit the value on the channel.
+    Emit(Side, Rc<Value>, Name),
+    /// The attacker injects the first value on its side's channel and
+    /// the second on the defender's.
+    Inject(Rc<Value>, Rc<Value>, Name),
+    /// The defender's reply to `side`'s output, the value on the
+    /// channel, makes the hedge inconsistent.
+    Replies(Side, Rc<Value>, Name, Inconsistency),
+    /// The defender has no output on the channel to answer `side`'s.
+    NoOutput(Side, Name),
+    /// The defender has no input on the channel to answer `side`'s.
+    NoInput(Side, Name),
+}
+
+impl Line {
+    fn render(&self) -> String {
+        match self {
+            Line::Emit(side, v, ch) => format!(
+                "{} emits {} on {}",
+                side.name(),
+                v.canonicalize(),
+                ch.canonical().as_str()
+            ),
+            Line::Inject(own, def, ch) => format!(
+                "inject {} / {} on {}",
+                own.canonicalize(),
+                def.canonicalize(),
+                ch.canonical().as_str()
+            ),
+            Line::Replies(side, v, co, e) => format!(
+                "{} replies {} on {}: {}",
+                side.other(),
+                v.canonicalize(),
+                co.canonical().as_str(),
+                e
+            ),
+            Line::NoOutput(side, co) => format!(
+                "no corresponding output on {} from {}",
+                co.canonical().as_str(),
+                side.other()
+            ),
+            Line::NoInput(side, co) => format!(
+                "no corresponding input on {} from {}",
+                co.canonical().as_str(),
+                side.other()
+            ),
+        }
+    }
+}
+
 /// One attacker move, with the defender's candidate replies.
 struct Move {
-    /// Rendered step description (canonical, index-free).
-    step: String,
+    /// The attacker's step.
+    step: Line,
     /// `Err`: the move wins immediately (no consistent defender reply);
-    /// the string is the rendered experiment. `Ok`: successor pairs to
-    /// recurse into, one per defender reply, each `(left', right',
-    /// hedge')`.
-    replies: Result<Vec<(Process, Process, Hedge)>, String>,
+    /// the line is the experiment. `Ok`: successor pairs to recurse
+    /// into, one per defender reply, each `(left', right', hedge')`.
+    replies: Result<Vec<(Process, Process, Hedge)>, Line>,
     /// Whether the defender's `τ`-closure was truncated — if so, the
     /// move can never soundly conclude `Distinguished`.
     defender_complete: bool,
@@ -266,15 +328,19 @@ type Closure = Rc<(Vec<(Process, Vec<Commitment>)>, bool)>;
 struct Game {
     cfg: EquivConfig,
     plays: usize,
+    /// Plays that missed the round memo: the positions examined.
+    positions: usize,
     /// Budgets hit anywhere in the search ("tau", "injections").
     exhausted: BTreeSet<&'static str>,
     /// Whether the current deepening round hit its depth cutoff with
     /// visible moves still available.
     depth_cutoff: bool,
-    /// Round-local memo: normalised state key → settled outcome.
+    /// Round-local memo: position key → settled outcome.
     memo: HashMap<u128, MemoEntry>,
     /// `τ`-closures by `alpha_hash`, shared across rounds.
     closures: HashMap<u64, Closure>,
+    /// Scratch space of the memo-key walk.
+    fresh: Vec<u32>,
 }
 
 #[derive(Clone)]
@@ -286,6 +352,19 @@ enum MemoEntry {
 }
 
 impl Game {
+    fn new(cfg: EquivConfig) -> Game {
+        Game {
+            cfg,
+            plays: 0,
+            positions: 0,
+            exhausted: BTreeSet::new(),
+            depth_cutoff: false,
+            memo: HashMap::new(),
+            closures: HashMap::new(),
+            fresh: Vec::new(),
+        }
+    }
+
     fn closure(&mut self, p: &Process) -> Closure {
         let h = nuspi_syntax::alpha_hash(p);
         if let Some(c) = self.closures.get(&h) {
@@ -303,7 +382,7 @@ impl Game {
             return Outcome::NoDistinction;
         }
         self.plays += 1;
-        let key = state_key(left, right, hedge);
+        let key = state_key(left, right, hedge, &mut self.fresh);
         match self.memo.get(&key) {
             Some(MemoEntry::InProgress) | Some(MemoEntry::NoDistinction) => {
                 return Outcome::NoDistinction
@@ -311,6 +390,7 @@ impl Game {
             Some(MemoEntry::Distinguished(t)) => return Outcome::Distinguished(t.clone()),
             None => {}
         }
+        self.positions += 1;
         self.memo.insert(key, MemoEntry::InProgress);
 
         let lc = self.closure(left);
@@ -318,13 +398,13 @@ impl Game {
         if lc.1 || rc.1 {
             self.exhausted.insert("tau");
         }
-        let moves = self.moves(&lc, &rc, hedge);
         let outcome = if fuel == 0 {
-            if !moves.is_empty() {
+            if self.any_move(&lc, &rc, hedge) {
                 self.depth_cutoff = true;
             }
             Outcome::NoDistinction
         } else {
+            let moves = self.moves(&lc, &rc, hedge);
             self.evaluate(moves, fuel)
         };
         let entry = match &outcome {
@@ -343,7 +423,7 @@ impl Game {
         for m in &moves {
             if let Err(experiment) = &m.replies {
                 if m.defender_complete {
-                    return Outcome::Distinguished(vec![m.step.clone(), experiment.clone()]);
+                    return Outcome::Distinguished(vec![m.step.render(), experiment.render()]);
                 }
                 self.exhausted.insert("tau");
             }
@@ -368,7 +448,7 @@ impl Game {
             if all_refuted {
                 if let Some(tail) = first_failure {
                     if m.defender_complete {
-                        let mut trace = vec![m.step];
+                        let mut trace = vec![m.step.render()];
                         trace.extend(tail);
                         return Outcome::Distinguished(trace);
                     }
@@ -380,6 +460,38 @@ impl Game {
             }
         }
         Outcome::NoDistinction
+    }
+
+    /// Whether [`Game::moves`] would list any move, without building
+    /// one. An output on a channel the hedge maps is always a move, and
+    /// an input on one gets at least the `(0, 0)` injection. The only
+    /// effect `moves` has on the game is the `injections` budget flag,
+    /// which depends on the hedge and the side alone: it is raised here
+    /// for exactly the sides `moves` would raise it for.
+    fn any_move(&mut self, lc: &Closure, rc: &Closure, hedge: &Hedge) -> bool {
+        let mut any = false;
+        for (side, att) in [(Side::Lhs, lc), (Side::Rhs, rc)] {
+            let mut inputs = false;
+            for c in att.0.iter().flat_map(|(_, cs)| cs) {
+                match (&c.action, &c.agent) {
+                    (Action::Out(ch), Agent::Conc(_)) if !any => {
+                        any = self.co_channel(hedge, side, *ch).is_some();
+                    }
+                    (Action::In(ch), Agent::Abs(_)) if !inputs => {
+                        inputs = self.co_channel(hedge, side, *ch).is_some();
+                    }
+                    _ => {}
+                }
+                if any && inputs {
+                    break;
+                }
+            }
+            if inputs {
+                self.injections(hedge, side);
+                any = true;
+            }
+        }
+        any
     }
 
     /// Enumerates the attacker's moves: outputs (passive observation)
@@ -414,7 +526,7 @@ impl Game {
                             for (inj_own, inj_def) in self.injections(hedge, side) {
                                 let cont = receive(&abs.restricted, abs.var, &abs.body, &inj_own);
                                 out.push(in_move(
-                                    side, *ch, co, &inj_own, &inj_def, cont, def, hedge,
+                                    side, *ch, co, inj_own, inj_def, cont, def, hedge,
                                 ));
                             }
                         }
@@ -425,12 +537,7 @@ impl Game {
         out
     }
 
-    fn co_channel(
-        &self,
-        hedge: &Hedge,
-        side: Side,
-        ch: nuspi_syntax::Name,
-    ) -> Option<nuspi_syntax::Name> {
+    fn co_channel(&self, hedge: &Hedge, side: Side, ch: Name) -> Option<Name> {
         match side {
             Side::Lhs => hedge.co_channel_left(ch),
             Side::Rhs => hedge.co_channel_right(ch),
@@ -442,18 +549,12 @@ impl Game {
     fn out_move(
         &mut self,
         side: Side,
-        ch: nuspi_syntax::Name,
-        co: nuspi_syntax::Name,
+        ch: Name,
+        co: Name,
         conc: &nuspi_semantics::Concretion,
         def: &Closure,
         hedge: &Hedge,
     ) -> Move {
-        let step = format!(
-            "{} emits {} on {}",
-            side.name(),
-            conc.value.canonicalize(),
-            ch.canonical().as_str()
-        );
         let mut replies = Vec::new();
         let mut experiment = None;
         for (_, cs) in &def.0 {
@@ -472,13 +573,7 @@ impl Game {
                     Ok(h2) => replies.push((lp.clone(), rp.clone(), h2)),
                     Err(e) => {
                         if experiment.is_none() {
-                            experiment = Some(format!(
-                                "{} replies {} on {}: {}",
-                                side.other(),
-                                dconc.value.canonicalize(),
-                                co.canonical().as_str(),
-                                e
-                            ));
+                            experiment = Some(Line::Replies(side, dconc.value.clone(), co, e));
                         }
                     }
                 }
@@ -486,18 +581,12 @@ impl Game {
         }
         let defender_complete = !def.1;
         let replies = if replies.is_empty() {
-            Err(experiment.unwrap_or_else(|| {
-                format!(
-                    "no corresponding output on {} from {}",
-                    co.canonical().as_str(),
-                    side.other()
-                )
-            }))
+            Err(experiment.unwrap_or(Line::NoOutput(side, co)))
         } else {
             Ok(replies)
         };
         Move {
-            step,
+            step: Line::Emit(side, conc.value.clone(), ch),
             replies,
             defender_complete,
         }
@@ -531,7 +620,7 @@ impl Game {
 /// The continuation of an input: re-wrap the abstraction's extruded
 /// restrictions around the instantiated body.
 fn receive(
-    restricted: &[nuspi_syntax::Name],
+    restricted: &[Name],
     var: nuspi_syntax::Var,
     body: &Process,
     value: &Rc<Value>,
@@ -539,23 +628,19 @@ fn receive(
     builder::restrict_all(restricted.iter().copied(), body.subst(var, value))
 }
 
+/// An injection: the attacker sends `inj_own` on its side's `ch`
+/// (continuing as `cont`) and `inj_def` on the defender's `co`.
 #[allow(clippy::too_many_arguments)]
 fn in_move(
     side: Side,
-    ch: nuspi_syntax::Name,
-    co: nuspi_syntax::Name,
-    inj_own: &Rc<Value>,
-    inj_def: &Rc<Value>,
+    ch: Name,
+    co: Name,
+    inj_own: Rc<Value>,
+    inj_def: Rc<Value>,
     cont: Process,
     def: &Closure,
-    _hedge: &Hedge,
+    hedge: &Hedge,
 ) -> Move {
-    let step = format!(
-        "inject {} / {} on {}",
-        inj_own.canonicalize(),
-        inj_def.canonicalize(),
-        ch.canonical().as_str()
-    );
     let mut replies = Vec::new();
     for (_, cs) in &def.0 {
         for c in cs {
@@ -565,66 +650,29 @@ fn in_move(
             if *dch != co {
                 continue;
             }
-            let dcont = receive(&dabs.restricted, dabs.var, &dabs.body, inj_def);
+            let dcont = receive(&dabs.restricted, dabs.var, &dabs.body, &inj_def);
             let (lp, rp) = match side {
                 Side::Lhs => (cont.clone(), dcont),
                 Side::Rhs => (dcont, cont.clone()),
             };
-            replies.push((lp, rp, _hedge.clone()));
+            replies.push((lp, rp, hedge.clone()));
         }
     }
     let defender_complete = !def.1;
     let replies = if replies.is_empty() {
-        Err(format!(
-            "no corresponding input on {} from {}",
-            co.canonical().as_str(),
-            side.other()
-        ))
+        Err(Line::NoInput(side, co))
     } else {
         Ok(replies)
     };
     Move {
-        step,
+        step: Line::Inject(inj_own, inj_def, ch),
         replies,
         defender_complete,
     }
 }
 
-/// The memo key: exact renderings of both processes and the hedge, with
-/// fresh-name indices jointly renumbered in first-occurrence order — so
-/// the key is independent of the global freshening counter and identical
-/// across runs, worker counts, and cache temperatures.
-fn state_key(left: &Process, right: &Process, hedge: &Hedge) -> u128 {
-    let joint = format!("{left}\u{0}{right}\u{0}{}", hedge.render_exact());
-    let mut h = StableHasher128::new();
-    h.write(normalise_indices(&joint).as_bytes());
-    h.finish128().0
-}
-
-/// Rewrites every `#<digits>` fresh-name index to a small sequential id
-/// in order of first occurrence.
-fn normalise_indices(s: &str) -> String {
-    let mut map: HashMap<&str, usize> = HashMap::new();
-    let mut out = String::with_capacity(s.len());
-    let mut rest = s;
-    while let Some(pos) = rest.find('#') {
-        out.push_str(&rest[..pos]);
-        let after = &rest[pos + 1..];
-        let digits = after.len() - after.trim_start_matches(|c: char| c.is_ascii_digit()).len();
-        if digits == 0 {
-            out.push('#');
-            rest = after;
-            continue;
-        }
-        let next = map.len() + 1;
-        let id = *map.entry(&after[..digits]).or_insert(next);
-        out.push('#');
-        out.push_str(&id.to_string());
-        rest = &after[digits..];
-    }
-    out.push_str(rest);
-    out
-}
+#[cfg(test)]
+mod key_wall;
 
 #[cfg(test)]
 mod tests {
@@ -768,12 +816,5 @@ mod tests {
             panic!("{rep:?}");
         };
         assert!(budgets.contains(&"plays".to_owned()), "{budgets:?}");
-    }
-
-    #[test]
-    fn index_normalisation_is_first_occurrence_stable() {
-        assert_eq!(normalise_indices("a#17 b#4 a#17"), "a#1 b#2 a#1");
-        assert_eq!(normalise_indices("τ#9 — plain"), "τ#1 — plain");
-        assert_eq!(normalise_indices("no indices"), "no indices");
     }
 }

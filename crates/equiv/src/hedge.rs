@@ -335,21 +335,6 @@ impl Hedge {
     pub fn co_channel_right(&self, n: Name) -> Option<Name> {
         self.correspond_right(&Value::name(n))?.as_name()
     }
-
-    /// Renders the hedge with exact (indexed) names, for memoisation
-    /// keys. The caller normalises fresh-name indices jointly with the
-    /// process renderings.
-    pub fn render_exact(&self) -> String {
-        let mut s = String::new();
-        for (l, r) in &self.pairs {
-            s.push_str(&format!("{l}\u{1}{r}\u{2}"));
-        }
-        s.push('\u{3}');
-        for (l, r) in &self.learned {
-            s.push_str(&format!("{l}\u{1}{r}\u{2}"));
-        }
-        s
-    }
 }
 
 #[cfg(test)]

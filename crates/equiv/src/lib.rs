@@ -37,6 +37,7 @@
 
 mod bisim;
 mod hedge;
+mod key;
 mod mutate;
 mod oracle;
 

@@ -3,8 +3,8 @@
 //! engine integration must treat the pair as unordered.
 
 use nuspi_engine::{AnalysisEngine, EngineConfig, ProcessInput, Request};
-use nuspi_equiv::{check, EquivConfig, Verdict};
-use nuspi_syntax::{parse_process, Process, Symbol};
+use nuspi_equiv::{check, check_with_hedge, EquivConfig, Hedge, Verdict};
+use nuspi_syntax::{parse_process, Name, Process, Symbol, Value};
 
 fn publics(names: &[&str]) -> Vec<Symbol> {
     names.iter().map(|n| Symbol::intern(n)).collect()
@@ -144,4 +144,31 @@ fn hide_and_new_differ_exactly_by_extrusion() {
             "no corresponding output on c from lhs".to_owned(),
         ]
     );
+}
+
+#[test]
+fn the_digest_fast_path_needs_an_identity_hedge() {
+    // Once the attacker holds the pair (a, b), `c<a>.0` is told apart
+    // from itself: the defender can only answer `a` with `a`, which
+    // clashes with (a, b). α-equality alone must not answer Bisimilar.
+    let a = || Value::name(Name::global("a"));
+    let b = Value::name(Name::global("b"));
+    let hedge = Hedge::with_public_names(&publics(&["c"]))
+        .learn(a(), b)
+        .unwrap();
+    let p = parse_process("c<a>.0").unwrap();
+    let same = check_with_hedge(&p, &p, hedge.clone(), &cfg());
+    // The behaviourally identical twin shares no digest with `p`, so it
+    // always plays the game.
+    let twin = parse_process("(new z) c<a>.0").unwrap();
+    let played = check_with_hedge(&p, &twin, hedge, &cfg());
+    let expected = Verdict::Distinguished {
+        trace: vec![
+            "lhs emits a on c".to_owned(),
+            "rhs replies a on c: injectivity violated: (a, b) clashes with (a, a)".to_owned(),
+        ],
+    };
+    assert_eq!(played.verdict, expected);
+    assert_eq!(same.verdict, expected, "plays = {}", same.plays);
+    assert!(same.plays > 0);
 }

@@ -38,12 +38,13 @@ cargo test -q -p nuspi-lang
 cargo test -q -p nuspi-lang --test determinism
 cargo test -q -p nuspi-lang --test robustness
 
-echo "==> equiv walls (laws, miner, differential oracle, goldens)"
+echo "==> equiv walls (laws, miner, differential oracle, goldens, memo key)"
 cargo test -q -p nuspi-equiv
 cargo test -q -p nuspi-equiv --test laws
 cargo test -q -p nuspi-equiv --test miner
 cargo test -q --test equiv_differential
 cargo test -q --test equiv_golden
+cargo test -q -p nuspi-equiv --lib key_wall
 
 echo "==> digest properties, jsonio edge cases, engine stress, trace schema"
 cargo test -q --test properties digest  # the three canonical-digest properties
