@@ -8,7 +8,7 @@
 use nuspi_bench::report::Table;
 use nuspi_cfa::{FlowVar, Prod};
 use nuspi_protocols::wmf;
-use nuspi_security::{confinement, AbstractKind};
+use nuspi_security::confinement;
 
 fn main() {
     let spec = wmf::wmf();
@@ -17,7 +17,6 @@ fn main() {
 
     let report = confinement(&spec.process, &spec.policy);
     let sol = &report.solution;
-    let kinds = AbstractKind::compute(sol, &spec.policy);
 
     let mut table = Table::new(["component", "entry", "productions", "kind"]);
     let mut channels = sol.channels();
@@ -28,10 +27,10 @@ fn main() {
         let kind = sol
             .var_id(FlowVar::Kappa(c))
             .map(|id| {
-                let f = kinds.facts(id);
-                match (f.may_secret, f.may_public) {
-                    (false, _) => "P only",
-                    (true, _) => "may be S",
+                if report.levels.escapes(id) {
+                    "may be S"
+                } else {
+                    "P only"
                 }
             })
             .unwrap_or("-");

@@ -11,7 +11,7 @@
 use nuspi_bench::report::Table;
 use nuspi_cfa::{analyze, FlowVar};
 use nuspi_protocols::suite;
-use nuspi_security::{confinement, reveals, AbstractKind, IntruderConfig, Knowledge};
+use nuspi_security::{confinement, reveals, AbstractLevel, IntruderConfig, Knowledge};
 
 fn main() {
     println!("E8 (ablation): plain vs attacker-closed confinement vs intruder ground truth\n");
@@ -40,14 +40,15 @@ fn main() {
     for spec in suite() {
         // Plain: least solution of P alone, ⊆-direction only.
         let sol = analyze(&spec.process);
-        let kinds = AbstractKind::compute(&sol, &spec.policy);
+        let binary = spec.policy.binary();
+        let levels = AbstractLevel::compute(&sol, &binary);
         let plain_confined = sol.channels().into_iter().all(|c| {
-            !spec.policy.is_public(c)
+            binary.is_secret(c)
                 || sol
                     .var_id(FlowVar::Kappa(c))
-                    .map(|id| !kinds.facts(id).may_secret)
+                    .map(|id| !levels.escapes(id))
                     .unwrap_or(true)
-        }) && spec.policy.free_secret_names(&spec.process).is_empty();
+        }) && binary.free_secret_names(&spec.process).is_empty();
 
         // Attacker-closed (the shipped check).
         let closed_confined = confinement(&spec.process, &spec.policy).is_confined();

@@ -183,7 +183,7 @@ pub fn solver(smoke: bool) -> SuiteRun {
             let sol = solve(Constraints::generate(&p));
             let _ = AbstractLevel::compute(&sol, &policy);
         });
-        let violations = graded_flows_with(&policy, sol).violations.len() as u64;
+        let violations = graded_flows_with(&policy, &sol).violations.len() as u64;
         lat4.row([
             format!("lattice4/{name}"),
             fmt_ms(t_classify),

@@ -501,39 +501,43 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         "explain" => {
-            let secret: std::collections::HashSet<_> = policy.secrets().collect();
-            let (att, provenance) = nuspi_cfa::analyze_with_attacker_traced(&process, &secret);
-            let kinds = nuspi::security::AbstractKind::compute(&att.solution, &policy);
+            // The flows the lint confinement pass reports, hidden names
+            // and all, with their provenance.
+            let ctx = nuspi::diagnostics::LintContext::new(&process, &policy);
+            let sem = ctx.semantic();
+            let report = &sem.confinement;
+            let sol = &report.solution;
             let mut flagged = 0;
-            let mut channels = att.solution.channels();
-            channels.sort_by_key(|c| c.as_str());
-            for chan in channels {
-                if !policy.is_public(chan) || chan == nuspi_cfa::attacker::attacker_name() {
+            for v in &report.violations {
+                let nuspi::security::ConfinementViolation::SecretOnPublicChannel { channel: chan } =
+                    *v
+                else {
                     continue;
-                }
+                };
                 let fv = nuspi::FlowVar::Kappa(chan);
-                let mut prods: Vec<_> = att.solution.prods_of(fv).iter().cloned().collect();
-                prods.sort_by_key(|p| format!("{p:?}"));
-                for prod in prods {
-                    // Report the root causes, not attacker-recombined
-                    // junk: secret names, and ciphertexts minted by the
-                    // process itself.
-                    let interesting = match &prod {
+                // Report the root causes, not attacker-recombined junk:
+                // secret names, and ciphertexts minted by the process
+                // itself.
+                let mut prods: Vec<_> = sol
+                    .prods_of(fv)
+                    .iter()
+                    .filter(|prod| match prod {
                         nuspi_cfa::Prod::Name(_) => true,
                         nuspi_cfa::Prod::Enc { confounder, .. } => {
                             *confounder != nuspi_cfa::attacker::attacker_confounder()
                         }
                         _ => false,
-                    };
-                    if !interesting || !kinds.facts_of_prod(&prod, &policy).may_secret {
-                        continue;
-                    }
+                    })
+                    .filter(|prod| report.secret_kind(prod))
+                    .collect();
+                prods.sort_by_key(|p| format!("{p:?}"));
+                for prod in prods {
                     flagged += 1;
                     println!(
                         "secret-kind value {} may reach public channel {chan}:",
-                        att.solution.render_production(&prod, 3)
+                        sol.render_production(prod, 3)
                     );
-                    for line in provenance.explain(&att.solution, fv, &prod) {
+                    for line in sem.provenance.explain(sol, fv, prod) {
                         println!("  {line}");
                     }
                     println!();

@@ -64,9 +64,7 @@ pub use nuspi_syntax as syntax;
 
 pub use nuspi_cfa::{analyze, solve_reference, FlowVar, Solution, SolverStats};
 pub use nuspi_diagnostics::{lint, lint_with, Diagnostic, LintConfig, Severity};
-pub use nuspi_engine::{
-    AnalysisEngine, EngineConfig, EngineStats, Envelope, IntruderBudgets, Request, Response,
-};
+pub use nuspi_engine::{AnalysisEngine, EngineConfig, EngineStats, Envelope, Request, Response};
 pub use nuspi_security::{
     audit, carefulness, confinement, invariance, message_independent, reveals,
     static_message_independence, Attack, Audit, AuditConfig, CarefulnessReport, ConfinementReport,
@@ -200,7 +198,7 @@ impl Analyzer {
         }
         let cfg = AuditConfig {
             exec: self.exec,
-            intruder: self.intruder.clone(),
+            intruder: self.intruder,
         };
         Ok(audit(p, &self.policy, &cfg))
     }

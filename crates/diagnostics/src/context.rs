@@ -1,6 +1,6 @@
 //! The shared lint context: the process, the policy, stable label
 //! ordinals, and a lazily-built semantic layer (one traced solve,
-//! its provenance, abstract kind facts).
+//! its provenance, and the confinement report decided on it).
 //!
 //! Syntactic passes never touch the semantic layer, so `lint` on a
 //! process with only syntactic findings pays zero solver cost — the
@@ -10,10 +10,10 @@
 
 use crate::diag::{Span, WitnessStep};
 use nuspi_cfa::{
-    analyze_with_attacker_traced, elide, AttackedSolution, EdgeKind, FlowStepKind, FlowVar, Prod,
-    Provenance, Solution,
+    analyze_with_attacker_traced, elide, EdgeKind, FlowStepKind, FlowVar, Prod, Provenance,
+    Solution,
 };
-use nuspi_security::{AbstractKind, Policy};
+use nuspi_security::{confinement_with, ConfinementReport, Policy};
 use nuspi_semantics::ExecConfig;
 use nuspi_syntax::{Label, Process};
 use std::cell::OnceCell;
@@ -27,7 +27,7 @@ pub struct LintConfig {
 }
 
 /// Everything a lint pass may consult. Construction is cheap; the
-/// semantic layer (solver, provenance, kind facts) is built on first
+/// semantic layer (solver, provenance, confinement) is built on first
 /// use via [`LintContext::semantic`].
 pub struct LintContext {
     process: Process,
@@ -39,19 +39,18 @@ pub struct LintContext {
 
 /// The solver-derived layer shared by the semantic passes.
 pub struct SemanticCtx {
-    /// Traced solve of `P` + most powerful attacker; the source of every
-    /// verdict, witness trace and rendered production.
-    pub traced: AttackedSolution,
+    /// Definition 4 decided on the traced solve of `P` + most powerful
+    /// attacker. Its solution is the source of every verdict, witness
+    /// trace and rendered production.
+    pub confinement: ConfinementReport,
     /// First-cause flow provenance of the traced solve.
     pub provenance: Provenance,
-    /// Kind facts over the traced solution's nonterminals.
-    pub traced_kinds: AbstractKind,
 }
 
 impl SemanticCtx {
     /// The solution verdicts, witnesses and renders are read from.
     pub fn traced_solution(&self) -> &Solution {
-        &self.traced.solution
+        &self.confinement.solution
     }
 }
 
@@ -117,15 +116,14 @@ impl LintContext {
     pub fn semantic(&self) -> &SemanticCtx {
         self.semantic.get_or_init(|| {
             // The attacker's opaque set: bare secrets plus graded names
-            // above the clearance. Identical to `secrets()` on ungraded
+            // above the clearance — the secrets of `Policy::binary`, as
+            // in `confinement`. Identical to `secrets()` on ungraded
             // policies, so binary-lattice transcripts do not move.
             let secret = self.policy.opaque_names().into_iter().collect();
             let (traced, provenance) = analyze_with_attacker_traced(&self.process, &secret);
-            let traced_kinds = AbstractKind::compute(&traced.solution, &self.policy);
             SemanticCtx {
-                traced,
+                confinement: confinement_with(&self.process, &self.policy, traced.solution),
                 provenance,
-                traced_kinds,
             }
         })
     }

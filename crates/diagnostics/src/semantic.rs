@@ -21,16 +21,18 @@
 //! reports.
 //!
 //! Verdicts and witnesses are both read off the one traced solve of the
-//! shared [`SemanticCtx`](crate::context::SemanticCtx).
+//! shared [`SemanticCtx`](crate::context::SemanticCtx). The verdicts are
+//! not decided here: E001–E004 present the violations of the context's
+//! confinement report and E009 those of `graded_flows_with`, both
+//! decided in `nuspi-security`.
 
 use crate::context::LintContext;
 use crate::diag::{Diagnostic, Severity, Span, WitnessStep};
 use crate::registry::{Pass, PassKind};
-use nuspi_cfa::{
-    accept, attacker::attacker_confounder, attacker::attacker_name, elide, FlowVar, Prod,
-};
+use nuspi_cfa::{attacker::attacker_confounder, attacker::attacker_name, elide, FlowVar, Prod};
 use nuspi_security::{
-    carefulness, invariance, n_star, AbstractLevel, AbstractSort, InvarianceViolation,
+    carefulness, graded_flows_with, invariance, n_star, AbstractSort, ConfinementViolation,
+    InvarianceViolation,
 };
 use nuspi_syntax::Symbol;
 
@@ -82,92 +84,70 @@ impl Pass for Confinement {
         PassKind::Semantic
     }
     fn run(&self, ctx: &LintContext) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        let policy = ctx.policy();
-
-        // E003: free secret names (well-formedness, checked before any
-        // κ reading because it invalidates the policy's premise).
-        let mut free = policy.free_secret_names(ctx.process());
-        free.sort_by_key(|n| n.to_string());
-        for n in free {
-            out.push(Diagnostic {
-                code: "E003",
-                pass: self.name(),
-                severity: Severity::Error,
-                span: Span::Name(n.canonical()),
-                message: format!("free name `{n}` is declared secret"),
-                witness: vec![WitnessStep {
-                    rule: "well-formedness requirement fn(P) ⊆ P (Definition 4)",
-                    detail: format!(
-                        "`{n}` occurs free, so the environment already holds it; \
-                         secrets must be restricted"
+        let report = &ctx.semantic().confinement;
+        report
+            .violations
+            .iter()
+            .map(|v| {
+                let (code, span, witness) = match v {
+                    // Well-formedness: it invalidates the policy's premise.
+                    ConfinementViolation::FreeSecretName(n) => (
+                        "E003",
+                        Span::Name(n.canonical()),
+                        vec![WitnessStep {
+                            rule: "well-formedness requirement fn(P) ⊆ P (Definition 4)",
+                            detail: format!(
+                                "`{n}` occurs free, so the environment already holds it; \
+                                 secrets must be restricted"
+                            ),
+                        }],
                     ),
-                }],
-            });
-        }
-
-        let sem = ctx.semantic();
-        let sol = sem.traced_solution();
-
-        // E004: acceptability re-validation (Table 2, symbolically).
-        for v in accept::verify(sol, ctx.process()) {
-            out.push(Diagnostic {
-                code: "E004",
-                pass: self.name(),
-                severity: Severity::Error,
-                span: Span::Process,
-                message: format!("estimate not acceptable: {v}"),
-                witness: vec![WitnessStep {
-                    rule: "Table 2 re-validation",
-                    detail: v.to_string(),
-                }],
-            });
-        }
-
-        // E001/E002: a secret-kind production in the κ of a public
-        // channel (or the attacker's knowledge).
-        for chan in sol.channels() {
-            if !policy.is_public(chan) {
-                continue; // κ of a secret channel is unconstrained
-            }
-            let Some(id) = sol.var_id(FlowVar::Kappa(chan)) else {
-                continue;
-            };
-            if !sem.traced_kinds.facts(id).may_secret {
-                continue;
-            }
-            let fv = FlowVar::Kappa(chan);
-            let mut witness = Vec::new();
-            let may_secret = |p: &Prod| sem.traced_kinds.facts_of_prod(p, policy).may_secret;
-            if let Some((prod, rendered)) = witness_prod(ctx, fv, may_secret) {
-                witness.push(WitnessStep {
-                    rule: "kind classification (Definition 2)",
-                    detail: format!("kind({}) = S under the declared policy", elide(rendered)),
-                });
-                witness.extend(ctx.witness_from_flow(fv, &prod));
-            }
-            if chan == attacker_name() {
-                out.push(Diagnostic {
-                    code: "E002",
+                    // Acceptability re-validation (Table 2, symbolically).
+                    ConfinementViolation::NotAcceptable(a) => (
+                        "E004",
+                        Span::Process,
+                        vec![WitnessStep {
+                            rule: "Table 2 re-validation",
+                            detail: a.to_string(),
+                        }],
+                    ),
+                    ConfinementViolation::SecretOnPublicChannel { channel } => (
+                        "E001",
+                        Span::Channel(*channel),
+                        secret_witness(ctx, *channel),
+                    ),
+                    ConfinementViolation::SecretDerivableByAttacker => {
+                        let chan = attacker_name();
+                        ("E002", Span::Channel(chan), secret_witness(ctx, chan))
+                    }
+                };
+                Diagnostic {
+                    code,
                     pass: self.name(),
                     severity: Severity::Error,
-                    span: Span::Channel(chan),
-                    message: "a secret-kind value may become derivable by the attacker".to_owned(),
+                    span,
+                    message: v.to_string(),
                     witness,
-                });
-            } else {
-                out.push(Diagnostic {
-                    code: "E001",
-                    pass: self.name(),
-                    severity: Severity::Error,
-                    span: Span::Channel(chan),
-                    message: format!("secret-kind value may flow on public channel `{chan}`"),
-                    witness,
-                });
-            }
-        }
-        out
+                }
+            })
+            .collect()
     }
+}
+
+/// The E001/E002 witness: a secret-kind production of `κ(chan)` (by the
+/// confinement report's own classification) and its flow to `chan`.
+fn secret_witness(ctx: &LintContext, chan: Symbol) -> Vec<WitnessStep> {
+    let report = &ctx.semantic().confinement;
+    let fv = FlowVar::Kappa(chan);
+    let mut witness = Vec::new();
+    if let Some((prod, rendered)) = witness_prod(ctx, fv, |p| report.secret_kind(p)) {
+        witness.push(WitnessStep {
+            rule: "kind classification (Definition 2)",
+            detail: format!("kind({}) = S under the declared policy", elide(rendered)),
+        });
+        witness.extend(ctx.witness_from_flow(fv, &prod));
+    }
+    witness
 }
 
 /// E005/N005 — the dynamic carefulness monitor of Definition 3.
@@ -448,24 +428,11 @@ impl Pass for GradedFlow {
             return Vec::new(); // binary policies keep the historical report
         }
         let lat = policy.lattice();
-        let clearance = policy.clearance();
-        let sol = ctx.semantic().traced_solution();
-        let levels = AbstractLevel::compute(sol, policy);
-        let downset = lat.downset(clearance);
-        let escapes = |p: &Prod| !levels.facts_of_prod(p, policy).minus(downset).is_empty();
+        let report = graded_flows_with(policy, ctx.semantic().traced_solution());
+        let escapes = |p: &Prod| report.levels.prod_escapes(p, policy);
         let mut out = Vec::new();
-        for chan in sol.channels() {
-            let observable = lat.leq(policy.level_of(chan), clearance) || chan == attacker_name();
-            if !observable {
-                continue; // κ of an unobservable channel is unconstrained
-            }
-            let Some(id) = sol.var_id(FlowVar::Kappa(chan)) else {
-                continue;
-            };
-            let escaping: Vec<_> = levels.escaping(id).collect();
-            if escaping.is_empty() {
-                continue;
-            }
+        for flows in report.violations.chunk_by(|a, b| a.channel == b.channel) {
+            let chan = flows[0].channel;
             let fv = FlowVar::Kappa(chan);
             // One witness per channel: the candidates do not depend on
             // which escaping level the diagnostic names.
@@ -479,30 +446,25 @@ impl Pass for GradedFlow {
                     steps
                 })
                 .unwrap_or_default();
-            for l in escaping {
+            for v in flows {
+                let (l, clearance) = (lat.show(v.level), lat.show(v.clearance));
                 let mut witness = vec![WitnessStep {
                     rule: "lattice flow judgment (ℓ ⊑ clearance)",
                     detail: format!(
-                        "violated edge: {} ⋢ {} — the level is outside the \
-                         attacker's clearance down-set",
-                        lat.show(l),
-                        lat.show(clearance)
+                        "violated edge: {l} ⋢ {clearance} — the level is outside the \
+                         attacker's clearance down-set"
                     ),
                 }];
                 witness.extend(chosen.iter().cloned());
                 let message = if chan == attacker_name() {
                     format!(
-                        "a value graded {} may become derivable by the attacker \
-                         (clearance {})",
-                        lat.show(l),
-                        lat.show(clearance)
+                        "a value graded {l} may become derivable by the attacker \
+                         (clearance {clearance})"
                     )
                 } else {
                     format!(
-                        "value graded {} may flow on observable channel `{chan}` \
-                         (clearance {})",
-                        lat.show(l),
-                        lat.show(clearance)
+                        "value graded {l} may flow on observable channel `{chan}` \
+                         (clearance {clearance})"
                     )
                 };
                 out.push(Diagnostic {

@@ -27,52 +27,6 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
-/// The scalar budgets of [`IntruderConfig`], in a `Send`-safe form the
-/// engine can ship to its workers. The one field left behind is
-/// `extra_candidates` (arbitrary `Rc`-shared values): the wire protocol
-/// cannot express it, and it cannot cross threads — engine-driven
-/// searches always run with the default (empty) candidate set.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct IntruderBudgets {
-    /// Replication unfolding budget per commitment enumeration.
-    pub rep_budget: u32,
-    /// Maximum interaction depth.
-    pub max_depth: usize,
-    /// Maximum number of explored configurations.
-    pub max_states: usize,
-    /// Maximum distinct values injected per input opportunity.
-    pub max_injections: usize,
-    /// Components used for depth-1 synthesised-pair injections.
-    pub pair_components: usize,
-}
-
-impl Default for IntruderBudgets {
-    fn default() -> IntruderBudgets {
-        let d = IntruderConfig::default();
-        IntruderBudgets {
-            rep_budget: d.rep_budget,
-            max_depth: d.max_depth,
-            max_states: d.max_states,
-            max_injections: d.max_injections,
-            pair_components: d.pair_components,
-        }
-    }
-}
-
-impl IntruderBudgets {
-    /// Expands back into a full [`IntruderConfig`].
-    pub fn to_config(self) -> IntruderConfig {
-        IntruderConfig {
-            rep_budget: self.rep_budget,
-            max_depth: self.max_depth,
-            max_states: self.max_states,
-            max_injections: self.max_injections,
-            pair_components: self.pair_components,
-            extra_candidates: Vec::new(),
-        }
-    }
-}
-
 /// Engine construction parameters.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EngineConfig {
@@ -84,7 +38,7 @@ pub struct EngineConfig {
     /// changing them never serves stale bodies).
     pub exec: ExecConfig,
     /// Budgets of the bounded Dolev–Yao intruder (likewise keyed).
-    pub intruder: IntruderBudgets,
+    pub intruder: IntruderConfig,
     /// Budgets of the hedged-bisimulation game behind the `equiv` op
     /// (keyed for that op only: `equiv` verdicts depend on them, the
     /// static ops do not).

@@ -42,7 +42,12 @@ use std::hash::Hasher as _;
 /// Version 2: carefulness explores states modulo structural congruence
 /// (fewer truncation notes and violation counts on replicated
 /// processes), and audit bodies list intruder attacks in secret order.
-const KEY_VERSION: u8 = 2;
+///
+/// Version 3: the intruder budgets are keyed as `IntruderConfig`, whose
+/// `Debug` text differs from the retired engine-side mirror's. No body
+/// changed; the key text did, and a version bump is what keeps old and
+/// new key texts from ever being compared.
+const KEY_VERSION: u8 = 3;
 
 /// How a prepared job executes.
 pub(crate) enum Runner {
@@ -174,15 +179,12 @@ pub(crate) fn prepare(request: &Request, cfg: &EngineConfig) -> Prepared {
                 Err(e) => fail(op, e),
                 Ok(p) => {
                     let key = derive_key(1, &p, &secrets, &[], &[], cfg);
-                    let (exec, intruder) = (cfg.exec, cfg.intruder);
+                    let audit_cfg = AuditConfig {
+                        exec: cfg.exec,
+                        intruder: cfg.intruder,
+                    };
                     let run = runner(op, process, p, move |p| {
                         let policy = policy_of(&secrets);
-                        // Built inside the job: `IntruderConfig` holds
-                        // `Rc` values, so only the scalar budgets cross.
-                        let audit_cfg = AuditConfig {
-                            exec,
-                            intruder: intruder.to_config(),
-                        };
                         let report = audit(&p, &policy, &audit_cfg);
                         let mut body = String::new();
                         let _ = write!(
@@ -311,7 +313,7 @@ pub(crate) fn prepare(request: &Request, cfg: &EngineConfig) -> Prepared {
                             Knowledge::from_names(known.iter().map(|s| Symbol::intern(s)))
                         };
                         let target = Symbol::intern(&secret);
-                        let attack = reveals(&p, &k0, target, &intruder.to_config());
+                        let attack = reveals(&p, &k0, target, &intruder);
                         let mut body = format!(
                             "\"op\":\"reveals\",\"status\":\"ok\",\"secret\":\"{}\",\
                              \"revealed\":{},\"trace\":[",

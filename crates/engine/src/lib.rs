@@ -47,8 +47,7 @@ mod serve;
 
 pub use cache::{CacheCounters, ENTRY_OVERHEAD};
 pub use engine::{
-    AnalysisEngine, EngineConfig, EngineStats, IntruderBudgets, StoreMeters, TierTwoCache,
-    DEFAULT_CACHE_BYTES,
+    AnalysisEngine, EngineConfig, EngineStats, StoreMeters, TierTwoCache, DEFAULT_CACHE_BYTES,
 };
 pub use pool::WorkerPool;
 pub use request::{Envelope, ProcessInput, Request, Response};

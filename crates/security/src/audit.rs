@@ -22,7 +22,7 @@ use nuspi_syntax::{Process, Symbol};
 use std::fmt;
 
 /// Budgets for the two dynamic checks an audit runs.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct AuditConfig {
     /// Exploration budgets of the carefulness monitor.
     pub exec: ExecConfig,

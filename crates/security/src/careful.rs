@@ -2,7 +2,9 @@
 //!
 //! `P` is careful w.r.t. `S` iff along every execution `P →* P′ —α→ P″`,
 //! every output premise `R —m̄→ (νr̃)⟨w^l⟩R′` used in the derivation with a
-//! public channel `m` sends a public-kind value (`kind(w) = P`).
+//! public channel `m` sends a public-kind value (`kind(w) = P`), read as
+//! `level(w) ⊑ ⊥` under the policy's two-point projection
+//! [`Policy::binary`].
 //!
 //! The monitor explores the bounded `τ`-reachable state space and checks
 //! *every* commitment's output premises — including those consumed inside
@@ -10,7 +12,7 @@
 //! explicitly. Theorem 3 (confined ⟹ careful) is validated by the test
 //! and experiment suites against this monitor.
 
-use crate::kind::{kind, Kind};
+use crate::flow::level;
 use crate::policy::Policy;
 use nuspi_semantics::{explore_tau, ExecConfig, ExploreStats};
 use nuspi_syntax::{Process, Symbol, Value};
@@ -60,14 +62,15 @@ impl CarefulnessReport {
 /// Runs the carefulness monitor over the bounded state space of `p`.
 pub fn carefulness(p: &Process, policy: &Policy, cfg: &ExecConfig) -> CarefulnessReport {
     // `hide`-bound names are secret by construction (cf. `confinement`).
-    let policy = &policy.with_hidden_of(p);
+    let policy = &policy.with_hidden_of(p).binary();
     let mut violations = Vec::new();
     let mut state_index = 0;
     let stats = explore_tau(p, cfg, |_state, commitments| {
         state_index += 1;
         for c in commitments {
             for out in &c.outputs {
-                if policy.is_public(out.channel.canonical()) && kind(&out.value, policy) == Kind::S
+                if policy.is_public(out.channel.canonical())
+                    && !policy.observes(level(&out.value, policy))
                 {
                     violations.push(CarefulnessViolation {
                         channel: out.channel.canonical(),

@@ -4,8 +4,9 @@
 //! estimate `(ρ, κ, ζ)` when the estimate is acceptable for `P` and
 //! `κ(n) = Val_P` for every public channel `n`. The safety-relevant
 //! direction of that equation is `κ(n) ⊆ Val_P` — *only public-kind values
-//! flow on public channels* — which is what this module checks, using the
-//! abstract [`kind`](crate::kind) fixpoint. The `⊇` direction — the
+//! flow on public channels* — which is what this module checks, with the
+//! abstract [`level`](crate::level) fixpoint under the policy's two-point
+//! projection [`Policy::binary`]. The `⊇` direction — the
 //! channel also carries *everything the environment can produce* — is
 //! realised by solving `P` together with the most powerful public
 //! attacker of Lemma 1 (see [`nuspi_cfa::attacker`]): attacker-suppliable
@@ -13,10 +14,14 @@
 //! attacks surface statically, and Proposition 1 (confinement is
 //! preserved under composition with public contexts) holds by
 //! construction.
+//!
+//! This is the one place Definition 4 is decided: the lint passes
+//! (E001–E004) and `nuspi explain` present the [`ConfinementReport`]
+//! built here.
 
-use crate::kind::AbstractKind;
+use crate::flow::{attacked_solution, AbstractLevel};
 use crate::policy::Policy;
-use nuspi_cfa::{accept, analyze_with_attacker, FlowVar, Solution};
+use nuspi_cfa::{accept, FlowVar, Prod, Solution};
 use nuspi_syntax::{Name, Process, Symbol};
 use std::fmt;
 
@@ -67,21 +72,31 @@ impl fmt::Display for ConfinementViolation {
 }
 
 /// The outcome of a confinement check, carrying the solution and abstract
-/// kind facts for further inspection.
+/// level facts for further inspection.
 #[derive(Debug)]
 pub struct ConfinementReport {
     /// The analysed estimate.
     pub solution: Solution,
-    /// The abstract kind facts.
-    pub kinds: AbstractKind,
+    /// The abstract level facts under the two-point projection: a
+    /// nonterminal may hold a secret-kind value exactly when it
+    /// [escapes](AbstractLevel::escapes).
+    pub levels: AbstractLevel,
     /// Violations; empty means confined.
     pub violations: Vec<ConfinementViolation>,
+    /// The projection the levels were computed under.
+    binary: Policy,
 }
 
 impl ConfinementReport {
     /// Whether the process is confined.
     pub fn is_confined(&self) -> bool {
         self.violations.is_empty()
+    }
+
+    /// Whether a production of the solution may derive a secret-kind
+    /// value (Definition 2), judged like the verdict.
+    pub fn secret_kind(&self, p: &Prod) -> bool {
+        self.levels.prod_escapes(p, &self.binary)
     }
 }
 
@@ -91,34 +106,36 @@ impl ConfinementReport {
 /// powerful public attacker* (Lemma 1's estimate): every public channel's
 /// `κ` is closed under everything the environment can tap, synthesise and
 /// re-inject — the `⊇` half of Definition 4's `κ(n) = Val_P`. This is
-/// what surfaces reflection and type-flaw attacks statically.
+/// what surfaces reflection and type-flaw attacks statically. The
+/// attacker cannot resolve the secrets of [`Policy::binary`], the same
+/// set the verdict reads.
 pub fn confinement(p: &Process, policy: &Policy) -> ConfinementReport {
     // Hidden names are secret by construction; fold them into the policy
-    // so the attacker treats them as opaque and the kind fixpoint grades
+    // so the attacker treats them as opaque and the level fixpoint grades
     // them secret. Processes without `hide` see the policy unchanged.
     let policy = policy.with_hidden_of(p);
-    let secret = policy.secrets().collect();
-    let attacked = analyze_with_attacker(p, &secret);
-    confinement_with(p, &policy, attacked.solution)
+    confinement_with(p, &policy, attacked_solution(p, &policy))
 }
 
 /// Checks confinement against a caller-provided solution (which must be
-/// acceptable for `p`; acceptability is re-validated).
+/// acceptable for `p`; acceptability is re-validated). `policy` must
+/// already carry `p`'s hidden names ([`Policy::with_hidden_of`]).
 pub fn confinement_with(p: &Process, policy: &Policy, solution: Solution) -> ConfinementReport {
+    let binary = policy.binary();
     let mut violations = Vec::new();
-    for n in policy.free_secret_names(p) {
+    for n in binary.free_secret_names(p) {
         violations.push(ConfinementViolation::FreeSecretName(n));
     }
     for v in accept::verify(&solution, p) {
         violations.push(ConfinementViolation::NotAcceptable(v));
     }
-    let kinds = AbstractKind::compute(&solution, policy);
+    let levels = AbstractLevel::compute(&solution, &binary);
     for chan in solution.channels() {
-        if !policy.is_public(chan) {
+        if binary.is_secret(chan) {
             continue; // κ of a secret channel is unconstrained
         }
         if let Some(id) = solution.var_id(FlowVar::Kappa(chan)) {
-            if kinds.facts(id).may_secret {
+            if levels.escapes(id) {
                 if chan == nuspi_cfa::attacker::attacker_name() {
                     violations.push(ConfinementViolation::SecretDerivableByAttacker);
                 } else {
@@ -129,8 +146,9 @@ pub fn confinement_with(p: &Process, policy: &Policy, solution: Solution) -> Con
     }
     ConfinementReport {
         solution,
-        kinds,
+        levels,
         violations,
+        binary,
     }
 }
 
@@ -250,6 +268,22 @@ mod tests {
         let p = parse_process("(new k) (hide h) c<{h, new r}:k>.0").unwrap();
         let report = confinement(&p, &pol(&["k"]));
         assert!(report.is_confined(), "{:?}", report.violations);
+    }
+
+    #[test]
+    fn the_attacker_cannot_resolve_names_graded_above_its_clearance() {
+        // `db` is free, so E003-style well-formedness fails; but it is
+        // graded above the clearance, so the attacker must not know it
+        // either — it cannot send it on `c` nor learn it.
+        let mut policy = Policy::with_lattice(crate::SecLattice::diamond4());
+        let lat = policy.lattice().clone();
+        policy.grade("db", lat.level("confidential", "trusted").unwrap());
+        let p = parse_process("c<0>.0 | db(x).0").unwrap();
+        let report = confinement(&p, &policy);
+        assert_eq!(
+            report.violations,
+            [ConfinementViolation::FreeSecretName(Name::global("db"))]
+        );
     }
 
     #[test]

@@ -173,7 +173,7 @@ impl Knowledge {
 }
 
 /// Budgets for the active-intruder search.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IntruderConfig {
     /// Replication unfolding budget per commitment enumeration.
     pub rep_budget: u32,
@@ -189,8 +189,6 @@ pub struct IntruderConfig {
     /// key-in-clear attack re-assembles message 4 as
     /// `(run-id, {N_A, K_AB}K_AS)` — needs this.
     pub pair_components: usize,
-    /// Extra values the intruder tries to inject, besides its knowledge.
-    pub extra_candidates: Vec<Rc<Value>>,
 }
 
 impl Default for IntruderConfig {
@@ -201,7 +199,6 @@ impl Default for IntruderConfig {
             max_states: 4000,
             max_injections: 8,
             pair_components: 0,
-            extra_candidates: Vec::new(),
         }
     }
 }
@@ -458,11 +455,6 @@ fn injection_candidates(k: &Knowledge, cfg: &IntruderConfig) -> Vec<Rc<Value>> {
                     }
                 }
             }
-        }
-    }
-    for v in &cfg.extra_candidates {
-        if k.can_derive(v) && !out.contains(v) {
-            out.push(Rc::clone(v));
         }
     }
     out

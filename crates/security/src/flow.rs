@@ -10,23 +10,20 @@
 //! the CFA's grammar: for each nonterminal it computes the *set* of
 //! levels its language may inhabit, as a monotone fixpoint over the
 //! productions with [`LevelSet`] (a `u64` bitset) as the abstract domain.
-//! On the two-point lattice with clearance at bottom this is exactly the
-//! binary [`crate::kind::AbstractKind`] analysis — `may_secret` is "some
-//! level outside the clearance down-set", `may_public` is "some level
-//! inside it" — a correspondence the test suite checks production by
-//! production.
 //!
-//! [`graded_flows`] is the lattice form of the confinement check
-//! (Definition 4): no value may flow on an attacker-observable channel at
-//! a level outside the attacker's clearance down-set. Ungraded policies
-//! never take this path — [`crate::confinement`] remains the binary fast
-//! path with byte-identical output.
+//! The paper's binary `kind` is not a second classifier: it is `level`
+//! under the two-point projection [`Policy::binary`], where a value is
+//! secret-kind exactly when its level escapes the bottom clearance.
+//! [`crate::confinement`] and [`crate::carefulness`] decide Definitions 4
+//! and 3 that way, and [`graded_flows`] decides the lattice form of
+//! Definition 4 under the full policy: no value may flow on an
+//! attacker-observable channel at a level outside the attacker's
+//! clearance down-set.
 
-use crate::lattice::{Level, LevelSet, SecLattice};
+use crate::lattice::{Level, LevelSet};
 use crate::policy::Policy;
 use nuspi_cfa::{analyze_with_attacker, FlowVar, Prod, Solution, VarId};
 use nuspi_syntax::{Process, Symbol, Value};
-use std::fmt;
 
 /// `level(w)`: the lattice grade of a closed value.
 pub fn level(w: &Value, policy: &Policy) -> Level {
@@ -37,7 +34,7 @@ pub fn level(w: &Value, policy: &Policy) -> Level {
         Value::Suc(inner) => level(inner, policy),
         Value::Pair(a, b) => lat.join(level(a, policy), level(b, policy)),
         Value::Enc { payload, key, .. } => {
-            let protected = !lat.leq(level(key, policy), policy.clearance());
+            let protected = !policy.observes(level(key, policy));
             if protected || payload.is_empty() {
                 lat.bottom()
             } else {
@@ -101,6 +98,23 @@ impl AbstractLevel {
     pub fn escaping(&self, id: VarId) -> impl Iterator<Item = Level> {
         self.facts(id).minus(self.observable).iter()
     }
+
+    /// Whether some level of the nonterminal escapes the clearance — under
+    /// [`Policy::binary`], whether its language may hold a secret-kind
+    /// value.
+    pub fn escapes(&self, id: VarId) -> bool {
+        !self.facts(id).minus(self.observable).is_empty()
+    }
+
+    /// Whether a production may derive a value whose level escapes the
+    /// clearance. `policy` must be the one the fixpoint was computed
+    /// under.
+    pub fn prod_escapes(&self, p: &Prod, policy: &Policy) -> bool {
+        !self
+            .facts_of_prod(p, policy)
+            .minus(self.observable)
+            .is_empty()
+    }
 }
 
 fn prod_levels(p: &Prod, facts: &[LevelSet], policy: &Policy, observable: LevelSet) -> LevelSet {
@@ -160,24 +174,9 @@ pub struct FlowViolation {
     pub clearance: Level,
 }
 
-impl FlowViolation {
-    /// Renders the violated lattice edge with a policy's axis labels.
-    pub fn describe(&self, lat: &SecLattice) -> String {
-        format!(
-            "value at {} may flow on observable channel `{}` (clearance {})",
-            lat.show(self.level),
-            self.channel,
-            lat.show(self.clearance)
-        )
-    }
-}
-
 /// The outcome of the graded flow check.
 #[derive(Debug)]
 pub struct GradedReport {
-    /// The analysed estimate (process composed with the most powerful
-    /// attacker below the clearance).
-    pub solution: Solution,
     /// The abstract level facts.
     pub levels: AbstractLevel,
     /// Violations in (channel, pinned level order); empty means every
@@ -192,44 +191,33 @@ impl GradedReport {
     }
 }
 
-impl fmt::Display for FlowViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "level ({},{}) escapes clearance ({},{}) on `{}`",
-            self.level.conf,
-            self.level.integ,
-            self.clearance.conf,
-            self.clearance.integ,
-            self.channel
-        )
-    }
+/// Solves `p` together with the most powerful attacker *below the
+/// clearance*: every name of [`Policy::opaque_names`] is opaque to it.
+/// `policy` must already carry `p`'s hidden names.
+pub(crate) fn attacked_solution(p: &Process, policy: &Policy) -> Solution {
+    let opaque = policy.opaque_names().into_iter().collect();
+    analyze_with_attacker(p, &opaque).solution
 }
 
 /// Checks the lattice form of confinement: solves `p` together with the
-/// most powerful attacker *below the clearance* (every name graded above
+/// most powerful attacker below the clearance (every name graded above
 /// it is opaque, as is every `hide`-bound name), then demands that no
 /// observable channel's κ contains a level outside the clearance
 /// down-set.
 pub fn graded_flows(p: &Process, policy: &Policy) -> GradedReport {
     let policy = policy.with_hidden_of(p);
-    let opaque: std::collections::HashSet<Symbol> = policy.opaque_names().into_iter().collect();
-    let attacked = analyze_with_attacker(p, &opaque);
-    graded_flows_with(&policy, attacked.solution)
+    graded_flows_with(&policy, &attacked_solution(p, &policy))
 }
 
 /// Graded flow check against a caller-provided solution.
-pub fn graded_flows_with(policy: &Policy, solution: Solution) -> GradedReport {
-    let lat = policy.lattice();
+pub fn graded_flows_with(policy: &Policy, solution: &Solution) -> GradedReport {
     let clearance = policy.clearance();
-    let levels = AbstractLevel::compute(&solution, policy);
+    let levels = AbstractLevel::compute(solution, policy);
     let mut violations = Vec::new();
-    let mut channels = solution.channels();
-    channels.sort_by_key(|s| s.as_str());
-    for chan in channels {
+    for chan in solution.channels() {
         let channel_level = policy.level_of(chan);
         let observable_chan =
-            lat.leq(channel_level, clearance) || chan == nuspi_cfa::attacker::attacker_name();
+            policy.observes(channel_level) || chan == nuspi_cfa::attacker::attacker_name();
         if !observable_chan {
             continue; // κ of an unobservable channel is unconstrained
         }
@@ -244,17 +232,12 @@ pub fn graded_flows_with(policy: &Policy, solution: Solution) -> GradedReport {
             }
         }
     }
-    GradedReport {
-        solution,
-        levels,
-        violations,
-    }
+    GradedReport { levels, violations }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kind::{kind, AbstractKind, Kind};
     use crate::lattice::SecLattice;
     use nuspi_cfa::analyze;
     use nuspi_syntax::{parse_process, Name};
@@ -267,72 +250,121 @@ mod tests {
         Policy::with_lattice(SecLattice::diamond4())
     }
 
+    /// `kind(w) = S` of Definition 2: the level escapes the clearance.
+    fn secret_kind(w: &Value, policy: &Policy) -> bool {
+        !policy.observes(level(w, policy))
+    }
+
     #[test]
-    fn concrete_level_projects_to_kind_on_two_point() {
-        let policy = pol(&["k", "m"]);
-        let lat = policy.lattice().clone();
-        let cases = [
-            Value::name(Name::global("m")),
-            Value::name(Name::global("c")),
-            Value::numeral(3),
-            Value::pair(Value::zero(), Value::name("m")),
-            Value::enc(vec![Value::name("m")], Name::global("r"), Value::name("k")),
-            Value::enc(
-                vec![Value::name("m")],
-                Name::global("r"),
-                Value::name("pub"),
-            ),
-            Value::enc(vec![], Name::global("r"), Value::name("pub")),
-        ];
-        for w in &cases {
-            let l = level(w, &policy);
-            let k = kind(w, &policy);
-            assert_eq!(
-                k == Kind::S,
-                !lat.leq(l, policy.clearance()),
-                "level/kind disagree on {w}"
-            );
+    fn names_have_declared_kind() {
+        let policy = pol(&["k"]);
+        assert_eq!(level(&Value::name("k"), &policy), policy.lattice().secret());
+        assert_eq!(level(&Value::name("c"), &policy), policy.lattice().bottom());
+    }
+
+    #[test]
+    fn numerals_are_public() {
+        assert!(!secret_kind(&Value::numeral(4), &pol(&["k"])));
+    }
+
+    #[test]
+    fn a_drop_of_secret_poisons_pairs() {
+        let policy = pol(&["m"]);
+        assert!(secret_kind(
+            &Value::pair(Value::zero(), Value::name("m")),
+            &policy
+        ));
+        assert!(!secret_kind(
+            &Value::pair(Value::zero(), Value::name("c")),
+            &policy
+        ));
+    }
+
+    #[test]
+    fn suc_inherits_kind() {
+        assert!(secret_kind(&Value::suc(Value::name("m")), &pol(&["m"])));
+    }
+
+    #[test]
+    fn secret_key_publicises_ciphertext() {
+        let w = Value::enc(vec![Value::name("m")], Name::global("r"), Value::name("k"));
+        assert!(
+            !secret_kind(&w, &pol(&["k", "m"])),
+            "protected by the secret key"
+        );
+    }
+
+    #[test]
+    fn public_key_leaves_secret_payload_secret() {
+        let w = Value::enc(
+            vec![Value::name("m")],
+            Name::global("r"),
+            Value::name("pubkey"),
+        );
+        assert!(secret_kind(&w, &pol(&["m"])));
+    }
+
+    #[test]
+    fn empty_payload_is_public() {
+        let w = Value::enc(vec![], Name::global("r"), Value::name("pub"));
+        assert!(!secret_kind(&w, &pol(&["m"])));
+    }
+
+    #[test]
+    fn confounders_do_not_affect_kind() {
+        let w = Value::enc(vec![Value::zero()], Name::global("r"), Value::name("pub"));
+        assert!(!secret_kind(&w, &pol(&["r"])), "confounders are discarded");
+    }
+
+    /// `(may_secret, may_public)` of `κ(chan)` in the plain solution of
+    /// `src` under the two-point policy with the given secrets.
+    fn kappa_kinds(src: &str, secrets: &[&str], chan: &str) -> (bool, bool) {
+        let sol = analyze(&parse_process(src).unwrap());
+        let policy = pol(secrets);
+        let levels = AbstractLevel::compute(&sol, &policy);
+        let id = sol.var_id(FlowVar::Kappa(Symbol::intern(chan))).unwrap();
+        let observable = policy.lattice().downset(policy.clearance());
+        let public = !levels.facts(id).intersect(observable).is_empty();
+        (levels.escapes(id), public)
+    }
+
+    #[test]
+    fn abstract_kind_matches_concrete_on_wmf_channels() {
+        let src = "
+            (new kAS) (new kBS) (
+              ((new kAB) cAS<{kAB, new r1}:kAS>. cAB<{m, new r2}:kAB>.0
+               | cBS(t). case t of {y}:kBS in cAB(z). case z of {q}:y in 0)
+              | cAS(x). case x of {s}:kAS in cBS<{s, new r3}:kBS>.0
+            )";
+        // Everything flowing on the public channels is public-kind: the
+        // ciphertexts are protected by secret keys.
+        for c in ["cAS", "cBS", "cAB"] {
+            let kinds = kappa_kinds(src, &["kAS", "kBS", "kAB", "m"], c);
+            assert_eq!(kinds, (false, true), "κ({c}) must be all-public");
         }
     }
 
     #[test]
-    fn abstract_level_projects_to_abstract_kind() {
-        // On the two-point lattice, may_secret/may_public of AbstractKind
-        // must equal the clearance split of AbstractLevel — per
-        // nonterminal, on a corpus exercising every production form.
-        let srcs = [
-            "(new m) c<m>.0",
-            "(new k) (new m) c<{m, new r}:k>.0",
-            "(new m) c<{m, new r}:pub>.0",
-            "c<0>.0 | !c(x).c<suc(x)>.0",
-            "(new m) c<(m, 0)>.0 | c(z). let (a, b) = z in d<a>.0",
-            "(new kAS) (new kBS) (
-               ((new kAB) cAS<{kAB, new r1}:kAS>. cAB<{m, new r2}:kAB>.0
-                | cBS(t). case t of {y}:kBS in cAB(z). case z of {q}:y in 0)
-               | cAS(x). case x of {s}:kAS in cBS<{s, new r3}:kBS>.0)",
-        ];
-        let policy = pol(&["kAS", "kBS", "kAB", "k", "m"]);
-        let observable = policy.lattice().downset(policy.clearance());
-        for src in srcs {
-            let p = parse_process(src).unwrap();
-            let sol = analyze(&p);
-            let ak = AbstractKind::compute(&sol, &policy);
-            let al = AbstractLevel::compute(&sol, &policy);
-            for (id, fv) in sol.flow_vars() {
-                let kf = ak.facts(id);
-                let ls = al.facts(id);
-                assert_eq!(
-                    kf.may_secret,
-                    !ls.minus(observable).is_empty(),
-                    "{src}: may_secret mismatch at {fv:?}"
-                );
-                assert_eq!(
-                    kf.may_public,
-                    !ls.intersect(observable).is_empty(),
-                    "{src}: may_public mismatch at {fv:?}"
-                );
-            }
-        }
+    fn abstract_kind_flags_cleartext_secret() {
+        assert!(kappa_kinds("(new m) c<m>.0", &["m"], "c").0);
+    }
+
+    #[test]
+    fn abstract_kind_handles_recursive_grammars() {
+        // κ(c) derives arbitrarily deep numerals; all public.
+        let kinds = kappa_kinds("c<0>.0 | !c(x).c<suc(x)>.0", &[], "c");
+        assert_eq!(kinds, (false, true));
+    }
+
+    #[test]
+    fn abstract_kind_secret_key_publicises() {
+        let kinds = kappa_kinds("(new k) (new m) c<{m, new r}:k>.0", &["k", "m"], "c");
+        assert_eq!(kinds, (false, true));
+    }
+
+    #[test]
+    fn abstract_kind_public_key_leaks() {
+        assert!(kappa_kinds("(new m) c<{m, new r}:pub>.0", &["m"], "c").0);
     }
 
     #[test]
@@ -366,11 +398,7 @@ mod tests {
             .find(|v| v.channel.as_str() == "c")
             .expect("violation on the concrete channel");
         assert_eq!(v.level, conf);
-        assert_eq!(
-            v.describe(&lat),
-            "value at conf:confidential,integ:trusted may flow on observable \
-             channel `c` (clearance conf:public,integ:trusted)"
-        );
+        assert_eq!(v.clearance, lat.bottom());
     }
 
     #[test]

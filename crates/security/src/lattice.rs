@@ -308,9 +308,10 @@ pub struct SecLattice {
 }
 
 impl SecLattice {
-    /// The classical instance the binary kind analysis is the image of:
-    /// `public ⊑ secret` and `trusted ⊑ tainted`. This is the default
-    /// lattice of every [`crate::Policy`].
+    /// The classical instance the binary checks read, through
+    /// [`crate::Policy::binary`]: `public ⊑ secret` and
+    /// `trusted ⊑ tainted`. This is the default lattice of every
+    /// [`crate::Policy`].
     pub fn two_point() -> SecLattice {
         SecLattice {
             conf: Axis::two("conf", "public", "secret"),
@@ -481,12 +482,18 @@ impl LevelSet {
         LevelSet(self.0 & !other.0)
     }
 
-    /// Iterates members in pinned display order (ascending bit index).
+    /// Iterates members in pinned display order (ascending bit index),
+    /// visiting only the set bits.
     pub fn iter(self) -> impl Iterator<Item = Level> {
-        let bits = self.0;
-        (0..64u32)
-            .filter(move |b| bits & (1u64 << b) != 0)
-            .map(Level::from_bit)
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let b = bits.trailing_zeros();
+            bits &= bits - 1;
+            Some(Level::from_bit(b))
+        })
     }
 
     /// The set of pairwise joins `{a ⊔ b : a ∈ self, b ∈ other}` — the

@@ -2,14 +2,17 @@
 //!
 //! The two applications of §4 and §5 of the paper:
 //!
-//! **Dolev–Yao secrecy.** The [`kind`] operator (Definition 2) partitions
-//! values into secret and public; [`carefulness`] is the dynamic notion
-//! (no secret in clear on a public channel, Definition 3);
-//! [`confinement`] the static one (a check on the `κ` component,
-//! Definition 4); and the [`dolevyao`] module implements the knowledge
-//! closure `C(W)` and the bounded active-intruder search of Definition 5.
-//! Theorems 3 and 4 — confined processes are careful and never reveal
-//! secrets — are validated end-to-end by the test and experiment suites.
+//! **Dolev–Yao secrecy.** The paper's `kind` operator (Definition 2)
+//! partitions values into secret and public; here it is [`level`] under
+//! the two-point projection [`Policy::binary`], where `kind(w) = S` reads
+//! `level(w) ⋢ ⊥`. [`carefulness`] is the dynamic notion (no secret in
+//! clear on a public channel, Definition 3); [`confinement`] the static
+//! one (a check on the `κ` component, Definition 4), decided here once
+//! for the lint passes, the audit and `nuspi explain`; and the
+//! [`dolevyao`] module implements the knowledge closure `C(W)` and the
+//! bounded active-intruder search of Definition 5. Theorems 3 and 4 —
+//! confined processes are careful and never reveal secrets — are
+//! validated end-to-end by the test and experiment suites.
 //!
 //! **Message independence.** The [`sort`] operator (Definition 6) tracks
 //! a distinguished name `n*`; [`invariance`] is the static check on
@@ -23,8 +26,10 @@
 //! ([`SecLattice`]); policies grade names with [`Level`]s and carry an
 //! attacker clearance, [`AbstractLevel`] re-grades the solved CFA grammar
 //! with level *sets*, and [`graded_flows`] is the lattice form of the
-//! confinement check. The two-point instance with clearance at bottom is
-//! the binary analysis — same verdicts, same bytes.
+//! confinement check, decided here once for the E009 lint pass. The
+//! binary checks are the same classifier under [`Policy::binary`], so
+//! the two-point instance with clearance at bottom is the binary
+//! analysis by construction.
 //!
 //! # Examples
 //!
@@ -50,7 +55,6 @@ mod confine;
 pub mod dolevyao;
 mod flow;
 mod invariance;
-mod kind;
 pub mod lattice;
 mod policy;
 mod sort;
@@ -64,7 +68,6 @@ pub use flow::{
     graded_flows, graded_flows_with, level, AbstractLevel, FlowViolation, GradedReport,
 };
 pub use invariance::{invariance, InvarianceViolation};
-pub use kind::{kind, AbstractKind, Kind, KindFacts};
 pub use lattice::{Axis, LatticeError, Level, LevelSet, SecLattice};
 pub use policy::Policy;
 pub use sort::{n_star, n_star_name, sort, AbstractSort, Sort, SortFacts};

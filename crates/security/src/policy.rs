@@ -128,14 +128,15 @@ impl Policy {
         }
     }
 
-    /// Whether the canonical name is secret (`n ∈ S`): its level is not
-    /// observable at the attacker clearance.
+    /// Whether the attacker observes a level: `l ⊑ clearance`.
+    pub fn observes(&self, l: Level) -> bool {
+        self.lattice.leq(l, self.clearance)
+    }
+
+    /// Whether the canonical name is secret (`n ∈ S`): it is declared
+    /// secret, or its level is not observable at the attacker clearance.
     pub fn is_secret(&self, n: Symbol) -> bool {
-        self.secret.contains(&n)
-            || self
-                .levels
-                .get(&n)
-                .is_some_and(|l| !self.lattice.leq(*l, self.clearance))
+        self.secret.contains(&n) || self.levels.get(&n).is_some_and(|l| !self.observes(*l))
     }
 
     /// Whether the canonical name is public (`n ∈ P`).
@@ -182,7 +183,7 @@ impl Policy {
     pub fn opaque_names(&self) -> Vec<Symbol> {
         let mut out: Vec<Symbol> = self.secret.iter().copied().collect();
         for (s, l) in &self.levels {
-            if !self.lattice.leq(*l, self.clearance) && !self.secret.contains(s) {
+            if !self.observes(*l) && !self.secret.contains(s) {
                 out.push(*s);
             }
         }
@@ -190,14 +191,28 @@ impl Policy {
         out
     }
 
+    /// The paper's secret/public partition as a policy of its own: the
+    /// two-point lattice, clearance at bottom, and [`Policy::opaque_names`]
+    /// as the secrets. Under it `level` takes only the values bottom and
+    /// [`SecLattice::secret`], and `level(w) ⋢ ⊥` is exactly
+    /// `kind(w) = S` of Definition 2 — which is how the binary checks
+    /// (confinement, carefulness) read this policy. An ungraded policy is
+    /// its own projection.
+    pub fn binary(&self) -> Policy {
+        Policy::with_secrets(self.opaque_names())
+    }
+
     /// The paper's well-formedness demand on analysed processes: all free
     /// names are public (secrets either do not occur or are restricted).
-    /// Returns the offending free secret names.
+    /// Returns the offending free secret names, in printed order.
     pub fn free_secret_names(&self, p: &Process) -> Vec<Name> {
-        p.free_names()
+        let mut out: Vec<Name> = p
+            .free_names()
             .into_iter()
             .filter(|n| self.name_is_secret(*n))
-            .collect()
+            .collect();
+        out.sort_by_key(|n| n.to_string());
+        out
     }
 
     /// Canonical JSON rendering. Names sort lexicographically; level

@@ -26,8 +26,9 @@ cargo test -q --test parse_error_wall
 echo "==> lint golden files (incl. ns-lowe / splice-as and their broken variants)"
 cargo test -q --test lint_golden
 
-echo "==> lattice conservative-extension wall (2-point twin policies, serve transcripts)"
+echo "==> lattice conservative-extension walls (2-point twin policies, serve transcripts, kind = projected level)"
 cargo test -q --test lattice_wall
+cargo test -q --test kind_wall
 
 echo "==> lattice laws (join/meet/order/flow-judgment properties)"
 cargo test -q -p nuspi-security --test lattice_laws

@@ -148,14 +148,17 @@ fn example1_estimate_matches_the_paper_shape() {
     // variable's ρ is public-kind (the paper's ρ(bv) = Val_P row).
     let spec = nuspi::protocols::wmf::wmf();
     let report = nuspi::confinement(&spec.process, &spec.policy);
-    let kinds = &report.kinds;
+    let public = nuspi::security::SecLattice::two_point().bottom();
     for c in &spec.public_channels {
         let id = report
             .solution
             .var_id(nuspi::FlowVar::Kappa(*c))
             .expect("channel analysed");
-        let f = kinds.facts(id);
-        assert!(f.may_public && !f.may_secret, "κ({c}) must be ⊆ Val_P");
+        let levels = report.levels.facts(id);
+        assert!(
+            levels.contains(public) && !report.levels.escapes(id),
+            "κ({c}) must be ⊆ Val_P"
+        );
     }
     // Every ρ component is inhabited — the estimate covers all six bound
     // variables exactly as the paper's Example 1 table does. (ρ(s)/ρ(y)

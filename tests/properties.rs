@@ -5,7 +5,7 @@
 //! Runs on the in-tree harness (`nuspi_bench::testkit`) — seeded
 //! generators plus greedy shrinking, no external crates.
 
-use nuspi::security::{kind, sort, Kind, Knowledge, Policy, Sort};
+use nuspi::security::{level, sort, Knowledge, Policy, Sort};
 use nuspi::semantics::{commitments, eval, CommitConfig, EvalMode, Rng};
 use nuspi::syntax::{Name, Value};
 use nuspi_bench::genproc::{random_process, GenConfig};
@@ -36,10 +36,11 @@ fn canonicalize_preserves_kind_and_sort() {
         |rng| random_value(rng, 3),
         shrink_value,
         |w| {
+            // A two-point policy: `level` is the paper's `kind` here.
             let policy = Policy::with_secrets(["n0", "n1"]);
             let tracked = nuspi::Symbol::intern("n2");
             let c = w.canonicalize();
-            ensure_eq(kind(w, &policy), kind(&c, &policy))?;
+            ensure_eq(level(w, &policy), level(&c, &policy))?;
             ensure_eq(sort(w, tracked), sort(&c, tracked))
         },
     );
@@ -184,7 +185,7 @@ fn secret_key_ciphertexts_are_public_kind() {
                 Name::global("r"),
                 Value::name("sk"),
             );
-            ensure_eq(kind(&ct, &policy), Kind::P)
+            ensure_eq(level(&ct, &policy), policy.lattice().bottom())
         },
     );
 }

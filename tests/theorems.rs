@@ -230,7 +230,7 @@ fn theorem5_separates_dolev_yao_from_noninterference() {
 
 #[test]
 fn carefulness_monitor_agrees_with_exhaustive_trace_scan() {
-    use nuspi::security::{kind, Kind};
+    use nuspi::security::level;
     use nuspi::semantics::all_traces;
     // The state-space monitor and a per-trace scan must agree on every
     // (small) protocol: a violation exists in some reachable state iff it
@@ -242,12 +242,13 @@ fn carefulness_monitor_agrees_with_exhaustive_trace_scan() {
             ..ExecConfig::default()
         };
         let monitor = carefulness(&spec.process, &spec.policy, &cfg);
+        let binary = spec.policy.binary();
         let mut trace_violation = false;
         for t in all_traces(&spec.process, &cfg, 400) {
             for step in &t.steps {
                 for out in &step.outputs {
-                    if spec.policy.is_public(out.channel.canonical())
-                        && kind(&out.value, &spec.policy) == Kind::S
+                    if binary.is_public(out.channel.canonical())
+                        && !binary.observes(level(&out.value, &binary))
                     {
                         trace_violation = true;
                     }

@@ -107,7 +107,7 @@ fn check_case(name: &str, p: &Process, policy: &Policy, tracked: bool) -> Result
         .is_graded()
         .then(|| AbstractLevel::compute(sol, policy));
     let downset = policy.lattice().downset(policy.clearance());
-    let may_secret = |p: &Prod| sem.traced_kinds.facts_of_prod(p, policy).may_secret;
+    let may_secret = |p: &Prod| sem.confinement.secret_kind(p);
     for chan in sol.channels() {
         let mut renders = Renders::of(sol, FlowVar::Kappa(chan));
         let what = format!("{name}: κ({chan})");
