@@ -143,9 +143,15 @@ impl EngineStats {
 pub struct AnalysisEngine {
     cfg: EngineConfig,
     pool: WorkerPool,
-    cache: Arc<Mutex<ByteLru>>,
-    counters: Arc<Counters>,
+    shared: Arc<Shared>,
     store: Option<Arc<dyn TierTwoCache>>,
+}
+
+/// What the engine shares with its pooled jobs, in one allocation: a
+/// job takes one reference to it.
+struct Shared {
+    cache: Mutex<ByteLru>,
+    counters: Counters,
 }
 
 /// A dispatched request: either already answered (cache hit, or
@@ -178,11 +184,12 @@ impl AnalysisEngine {
         } else {
             cfg.cache_bytes
         };
-        let cache = Arc::new(Mutex::new(ByteLru::new(budget)));
         AnalysisEngine {
             pool: WorkerPool::new(jobs),
-            cache,
-            counters: Arc::new(Counters::default()),
+            shared: Arc::new(Shared {
+                cache: Mutex::new(ByteLru::new(budget)),
+                counters: Counters::default(),
+            }),
             cfg,
             store: None,
         }
@@ -227,7 +234,8 @@ impl AnalysisEngine {
     }
 
     fn dispatch(&self, envelope: Envelope) -> Pending {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
+        let Shared { cache, counters } = &*self.shared;
+        counters.requests.fetch_add(1, Ordering::Relaxed);
         let Envelope {
             id,
             request,
@@ -235,8 +243,8 @@ impl AnalysisEngine {
         } = envelope;
         let Prepared { op, key, run } = prepare(&request, &self.cfg);
         if let Some(key) = key {
-            if let Some(body) = lock(&self.cache).get(key) {
-                self.counters.completed.fetch_add(1, Ordering::Relaxed);
+            if let Some(body) = lock(cache).get(key) {
+                counters.completed.fetch_add(1, Ordering::Relaxed);
                 return Pending::Ready(Response {
                     id,
                     body,
@@ -247,8 +255,8 @@ impl AnalysisEngine {
             // promoted into the memory LRU so repeats stay in tier one.
             if let Some(store) = &self.store {
                 if let Some(body) = store.load(key) {
-                    lock(&self.cache).insert(key, Arc::clone(&body));
-                    self.counters.completed.fetch_add(1, Ordering::Relaxed);
+                    lock(cache).insert(key, Arc::clone(&body));
+                    counters.completed.fetch_add(1, Ordering::Relaxed);
                     return Pending::Ready(Response {
                         id,
                         body,
@@ -257,13 +265,12 @@ impl AnalysisEngine {
                 }
             }
         } else {
-            self.counters.uncacheable.fetch_add(1, Ordering::Relaxed);
+            counters.uncacheable.fetch_add(1, Ordering::Relaxed);
         }
         match run {
             Runner::Pooled(run) => {
                 let (tx, rx) = channel::<Arc<str>>();
-                let cache = Arc::clone(&self.cache);
-                let counters = Arc::clone(&self.counters);
+                let shared = Arc::clone(&self.shared);
                 let store = self.store.clone();
                 // Clock reads only happen with the recorder on, so the
                 // disabled path stays allocation- and syscall-free.
@@ -272,7 +279,7 @@ impl AnalysisEngine {
                     if let Some(t) = enqueued {
                         nuspi_obs::record_duration("engine.queue_wait_us", t.elapsed());
                     }
-                    let body = execute(run, op, key, &cache, &counters, store.as_deref());
+                    let body = execute(run, op, key, &shared, store.as_deref());
                     let _ = tx.send(body); // receiver may have timed out; fine
                 }));
                 Pending::Waiting {
@@ -286,15 +293,8 @@ impl AnalysisEngine {
             // submitting thread: the AST is not `Send`. Deadlines
             // cannot preempt an inline run.
             Runner::Inline(run) => {
-                let body = execute(
-                    run,
-                    op,
-                    key,
-                    &self.cache,
-                    &self.counters,
-                    self.store.as_deref(),
-                );
-                self.counters.completed.fetch_add(1, Ordering::Relaxed);
+                let body = execute(run, op, key, &self.shared, self.store.as_deref());
+                counters.completed.fetch_add(1, Ordering::Relaxed);
                 Pending::Ready(Response {
                     id,
                     body,
@@ -305,6 +305,7 @@ impl AnalysisEngine {
     }
 
     fn wait(&self, pending: Pending) -> Response {
+        let counters = &self.shared.counters;
         match pending {
             Pending::Ready(r) => r,
             Pending::Waiting {
@@ -324,7 +325,7 @@ impl AnalysisEngine {
                         cached: false,
                     },
                     Err(RecvTimeoutError::Timeout) => {
-                        self.counters
+                        counters
                             .deadline_expirations
                             .fetch_add(1, Ordering::Relaxed);
                         nuspi_obs::counter("engine.deadline_expirations", 1);
@@ -343,7 +344,7 @@ impl AnalysisEngine {
                         cached: false,
                     },
                 };
-                self.counters.completed.fetch_add(1, Ordering::Relaxed);
+                counters.completed.fetch_add(1, Ordering::Relaxed);
                 response
             }
         }
@@ -351,18 +352,19 @@ impl AnalysisEngine {
 
     /// A snapshot of the engine's meters.
     pub fn stats(&self) -> EngineStats {
-        let cache = lock(&self.cache);
+        let cache = lock(&self.shared.cache);
+        let counters = &self.shared.counters;
         EngineStats {
             jobs: self.pool.jobs(),
             cache: cache.counters(),
             cache_bytes: cache.bytes(),
             cache_budget: cache.budget(),
             cache_entries: cache.entries(),
-            requests: self.counters.requests.load(Ordering::Relaxed),
-            completed: self.counters.completed.load(Ordering::Relaxed),
-            job_panics: self.counters.job_panics.load(Ordering::Relaxed),
-            deadline_expirations: self.counters.deadline_expirations.load(Ordering::Relaxed),
-            uncacheable: self.counters.uncacheable.load(Ordering::Relaxed),
+            requests: counters.requests.load(Ordering::Relaxed),
+            completed: counters.completed.load(Ordering::Relaxed),
+            job_panics: counters.job_panics.load(Ordering::Relaxed),
+            deadline_expirations: counters.deadline_expirations.load(Ordering::Relaxed),
+            uncacheable: counters.uncacheable.load(Ordering::Relaxed),
             store: self.store.as_ref().map(|s| s.meters()),
         }
     }
@@ -374,10 +376,10 @@ fn execute<F: FnOnce() -> String>(
     run: F,
     op: &'static str,
     key: Option<u128>,
-    cache: &Mutex<ByteLru>,
-    counters: &Counters,
+    shared: &Shared,
     store: Option<&dyn TierTwoCache>,
 ) -> Arc<str> {
+    let Shared { cache, counters } = shared;
     let _sp = nuspi_obs::span!("engine.exec", op = op);
     // Compute time feeds the store's admission policy, so with a store
     // attached the clock is read even while tracing is off.

@@ -8,10 +8,10 @@
 //! the pool closes the queue and joins every worker — in-flight jobs
 //! finish, queued jobs drain, then the threads exit.
 //!
-//! The queue and its workers are created with the first job, not with
-//! the pool: an engine that only ever answers from its cache, or inline,
-//! never pays for them, and building one allocates only its panic
-//! counter. The queue matters as much as the threads: its block is
+//! The queue, its workers and their backstop panic counter are created
+//! with the first job, not with the pool: an engine that only ever
+//! answers from its cache, or inline, never pays for them, and building
+//! a pool allocates nothing. The queue matters as much as the threads: its block is
 //! cache-padded (over-aligned), and right after a busy engine was
 //! dropped that one allocation took ~1.5 µs on a 2-core host, against
 //! ~0.15 µs for a plain small one: most of building the next engine.
@@ -36,13 +36,14 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct WorkerPool {
     jobs: usize,
     workers: OnceLock<Workers>,
-    panics: Arc<AtomicU64>,
 }
 
 /// The queue and the threads draining it, created with the first job.
 struct Workers {
     tx: Sender<Job>,
     handles: Vec<JoinHandle<()>>,
+    /// Jobs that reached the backstop.
+    panics: Arc<AtomicU64>,
 }
 
 impl WorkerPool {
@@ -52,17 +53,17 @@ impl WorkerPool {
         WorkerPool {
             jobs: jobs.max(1),
             workers: OnceLock::new(),
-            panics: Arc::new(AtomicU64::new(0)),
         }
     }
 
     fn start(&self) -> Workers {
         let (tx, rx) = channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
+        let panics = Arc::new(AtomicU64::new(0));
         let handles = (0..self.jobs)
             .map(|i| {
                 let rx = Arc::clone(&rx);
-                let panics = Arc::clone(&self.panics);
+                let panics = Arc::clone(&panics);
                 std::thread::Builder::new()
                     .name(format!("nuspi-engine-worker-{i}"))
                     // Analyses recurse over the process term (digesting,
@@ -75,7 +76,11 @@ impl WorkerPool {
                     .expect("spawn worker thread")
             })
             .collect();
-        Workers { tx, handles }
+        Workers {
+            tx,
+            handles,
+            panics,
+        }
     }
 
     /// Number of worker threads.
@@ -86,7 +91,9 @@ impl WorkerPool {
     /// Jobs that reached the pool's panic backstop (the engine layer
     /// normally catches panics first, so this stays zero).
     pub fn backstop_panics(&self) -> u64 {
-        self.panics.load(Ordering::Relaxed)
+        self.workers
+            .get()
+            .map_or(0, |w| w.panics.load(Ordering::Relaxed))
     }
 
     /// Enqueues a job, starting the workers on first use. The queue is
@@ -116,7 +123,7 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, panics: &AtomicU64) {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        if let Some(Workers { tx, handles }) = self.workers.take() {
+        if let Some(Workers { tx, handles, .. }) = self.workers.take() {
             drop(tx); // close the queue; workers drain and exit
             for handle in handles {
                 let _ = handle.join();

@@ -82,7 +82,10 @@ pub fn explore_tau(
     cfg: &ExecConfig,
     visit: impl FnMut(&Process, &[Commitment]) -> bool,
 ) -> ExploreStats {
-    let stats = explore(p, cfg, visit);
+    counted(explore(p, cfg, visit, drop))
+}
+
+fn counted(stats: ExploreStats) -> ExploreStats {
     nuspi_obs::counter("semantics.explore.states", stats.states as u64);
     if stats.truncated {
         nuspi_obs::counter("semantics.explore.truncated", 1);
@@ -90,10 +93,14 @@ pub fn explore_tau(
     stats
 }
 
+/// The one explorer behind [`explore_tau`] and [`tau_closure`]: after
+/// `visit` has seen a state's commitments, each `τ` residual goes to the
+/// frontier and each visible commitment is moved into `keep`.
 fn explore(
     p: &Process,
     cfg: &ExecConfig,
     mut visit: impl FnMut(&Process, &[Commitment]) -> bool,
+    mut keep: impl FnMut(Commitment),
 ) -> ExploreStats {
     let ccfg = cfg.commit_config();
     let absorb = cfg.rep_budget >= 2;
@@ -123,6 +130,7 @@ fn explore(
             }
             for c in cs {
                 if c.action != Action::Tau {
+                    keep(c);
                     continue;
                 }
                 let Agent::Proc(q) = c.agent else { continue };
@@ -231,20 +239,14 @@ fn absorbable(q: &Process) -> bool {
     }
 }
 
-/// The bounded `τ`-closure of `p`: every reachable state paired with its
-/// full commitment list, appended to `out` in BFS order (the initial
-/// state first). This is the weak-transition view the hedged-bisimulation
-/// backend plays over: a visible move "from `p`" is a visible commitment
-/// of any state in the closure.
-pub fn tau_closure(
-    p: &Process,
-    cfg: &ExecConfig,
-    out: &mut Vec<(Process, Vec<Commitment>)>,
-) -> ExploreStats {
-    explore_tau(p, cfg, |state, cs| {
-        out.push((state.clone(), cs.to_vec()));
-        true
-    })
+/// The bounded `τ`-closure of `p`, as the hedged-bisimulation backend
+/// plays over it: every visible commitment of every reachable state,
+/// moved into `keep` in BFS order (the initial state's first, each
+/// state's in enumeration order). A visible move "from `p`" is one of
+/// them. Neither the states nor their `τ` residuals are kept; the
+/// residuals only feed the search. Counted like [`explore_tau`].
+pub fn tau_closure(p: &Process, cfg: &ExecConfig, keep: impl FnMut(Commitment)) -> ExploreStats {
+    counted(explore(p, cfg, |_, _| true, keep))
 }
 
 /// All `τ`-successors of a single state.
@@ -475,6 +477,21 @@ mod tests {
         // A body with a replication of its own is never absorbed: a copy
         // unfolded from the outer `!` gets a smaller inner budget.
         assert_eq!(shape("!a(x).0 | !!a(x).0", true), "!a(x).0 | !!a(x).0");
+    }
+
+    #[test]
+    fn tau_closure_keeps_exactly_the_visible_commitments_in_bfs_order() {
+        let p = parse_process("a<0>.b<0>.0 | a(x).c(y).0 | d<m>.0").unwrap();
+        let mut visible = Vec::new();
+        let walked = explore_tau(&p, &cfg(), |_, cs| {
+            visible.extend(cs.iter().filter(|c| c.action != Action::Tau).cloned());
+            true
+        });
+        let mut kept = Vec::new();
+        let stats = tau_closure(&p, &cfg(), |c| kept.push(c));
+        assert_eq!(stats, walked);
+        assert_eq!(kept, visible);
+        assert!(kept.len() >= 4, "{kept:?}");
     }
 
     #[test]

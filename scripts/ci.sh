@@ -39,13 +39,14 @@ cargo test -q -p nuspi-lang
 cargo test -q -p nuspi-lang --test determinism
 cargo test -q -p nuspi-lang --test robustness
 
-echo "==> equiv walls (laws, miner, differential oracle, goldens, memo key)"
+echo "==> equiv walls (laws, miner, differential oracle, goldens, memo key, lazy game vs eager game)"
 cargo test -q -p nuspi-equiv
 cargo test -q -p nuspi-equiv --test laws
 cargo test -q -p nuspi-equiv --test miner
 cargo test -q --test equiv_differential
 cargo test -q --test equiv_golden
 cargo test -q -p nuspi-equiv --lib key_wall
+cargo test -q -p nuspi-equiv --lib game_wall
 
 echo "==> digest properties, jsonio edge cases, engine stress, trace schema"
 cargo test -q --test properties digest  # the three canonical-digest properties
