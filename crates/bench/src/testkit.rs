@@ -16,7 +16,7 @@
 
 use nuspi_semantics::rng::{Rng, SplitMix64};
 use nuspi_syntax::{builder as b, Expr, Name, Term, Value};
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// Upper bound on accepted shrink steps — a safety valve against shrink
 /// cycles; greedy descent normally terminates far earlier.
@@ -112,7 +112,7 @@ pub fn shrink_vec<T: Clone>(xs: &[T], elem: impl Fn(&T) -> Vec<T>) -> Vec<Vec<T>
 /// A random canonical-ish value over a small alphabet (names `n0..n3`,
 /// numerals, pairs, successors, encryptions with confounders `r0..r2`),
 /// with structural depth at most `depth`.
-pub fn random_value(rng: &mut SplitMix64, depth: usize) -> Rc<Value> {
+pub fn random_value(rng: &mut SplitMix64, depth: usize) -> Arc<Value> {
     if depth == 0 || rng.gen_range(0..4) == 0 {
         return match rng.gen_range(0..5) {
             0 => Value::zero(),
@@ -123,7 +123,7 @@ pub fn random_value(rng: &mut SplitMix64, depth: usize) -> Rc<Value> {
         0 => Value::suc(random_value(rng, depth - 1)),
         1 => Value::pair(random_value(rng, depth - 1), random_value(rng, depth - 1)),
         _ => {
-            let payload: Vec<Rc<Value>> = (0..rng.gen_range(0..3))
+            let payload: Vec<Arc<Value>> = (0..rng.gen_range(0..3))
                 .map(|_| random_value(rng, depth - 1))
                 .collect();
             let key = random_value(rng, depth - 1);
@@ -136,22 +136,22 @@ pub fn random_value(rng: &mut SplitMix64, depth: usize) -> Rc<Value> {
 /// Structural shrinker for values: every immediate child, then the
 /// simplest leaf. Greedy descent over these candidates finds a minimal
 /// failing subterm.
-pub fn shrink_value(w: &Rc<Value>) -> Vec<Rc<Value>> {
-    let mut out: Vec<Rc<Value>> = Vec::new();
+pub fn shrink_value(w: &Arc<Value>) -> Vec<Arc<Value>> {
+    let mut out: Vec<Arc<Value>> = Vec::new();
     match &**w {
         Value::Zero => return out,
         Value::Name(_) => {
             out.push(Value::zero());
             return out;
         }
-        Value::Suc(inner) => out.push(Rc::clone(inner)),
+        Value::Suc(inner) => out.push(Arc::clone(inner)),
         Value::Pair(a, b2) => {
-            out.push(Rc::clone(a));
-            out.push(Rc::clone(b2));
+            out.push(Arc::clone(a));
+            out.push(Arc::clone(b2));
         }
         Value::Enc { payload, key, .. } => {
             out.extend(payload.iter().cloned());
-            out.push(Rc::clone(key));
+            out.push(Arc::clone(key));
         }
     }
     out.push(Value::zero());

@@ -15,10 +15,10 @@
 
 use nuspi_syntax::{Expr, Label, Name, Process, Symbol, Term, Value, Var};
 use std::collections::{BTreeSet, HashMap};
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// A finite set of canonical values.
-pub type ValSet = BTreeSet<Rc<Value>>;
+pub type ValSet = BTreeSet<Arc<Value>>;
 
 /// A finite, explicit estimate `(ρ, κ, ζ)`.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
@@ -46,19 +46,19 @@ impl FiniteEstimate {
     }
 
     /// Adds a value to `ρ(x)` (canonicalised).
-    pub fn add_rho(&mut self, x: Var, w: Rc<Value>) -> &mut Self {
+    pub fn add_rho(&mut self, x: Var, w: Arc<Value>) -> &mut Self {
         self.rho.entry(x).or_default().insert(w.canonicalize());
         self
     }
 
     /// Adds a value to `κ(n)` (canonicalised).
-    pub fn add_kappa(&mut self, n: Symbol, w: Rc<Value>) -> &mut Self {
+    pub fn add_kappa(&mut self, n: Symbol, w: Arc<Value>) -> &mut Self {
         self.kappa.entry(n).or_default().insert(w.canonicalize());
         self
     }
 
     /// Adds a value to `ζ(l)` (canonicalised).
-    pub fn add_zeta(&mut self, l: Label, w: Rc<Value>) -> &mut Self {
+    pub fn add_zeta(&mut self, l: Label, w: Arc<Value>) -> &mut Self {
         self.zeta.entry(l).or_default().insert(w.canonicalize());
         self
     }
@@ -190,7 +190,7 @@ impl FiniteChecker<'_> {
         self.violations.push(FiniteViolation(msg));
     }
 
-    fn need(&mut self, w: Rc<Value>, l: Label, ctx: &str) {
+    fn need(&mut self, w: Arc<Value>, l: Label, ctx: &str) {
         if !self.est.zeta(l).contains(&w) {
             self.fail(format!("{ctx}: {w} ∉ ζ({l})"));
         }
@@ -234,11 +234,11 @@ impl FiniteChecker<'_> {
                 self.expr(key);
                 // ENC{ζ(l₁),…,ζ(lₖ),{⌊r⌋}}_{ζ(l₀)} ⊆ ζ(l): all payload
                 // combinations under all keys.
-                let slots: Vec<Vec<Rc<Value>>> = payload
+                let slots: Vec<Vec<Arc<Value>>> = payload
                     .iter()
                     .map(|p| self.est.zeta(p.label).iter().cloned().collect())
                     .collect();
-                let keys: Vec<Rc<Value>> = self.est.zeta(key.label).iter().cloned().collect();
+                let keys: Vec<Arc<Value>> = self.est.zeta(key.label).iter().cloned().collect();
                 let conf = Name::global(confounder.canonical());
                 for combo in combinations(&slots) {
                     for k in &keys {
@@ -445,7 +445,7 @@ fn collect_vars(p: &Process) -> std::collections::HashSet<Var> {
 }
 
 /// Cartesian product of the slots.
-fn combinations(slots: &[Vec<Rc<Value>>]) -> Vec<Vec<Rc<Value>>> {
+fn combinations(slots: &[Vec<Arc<Value>>]) -> Vec<Vec<Arc<Value>>> {
     let mut out = vec![Vec::new()];
     for slot in slots {
         let mut next = Vec::new();

@@ -15,7 +15,7 @@
 //! request order regardless of completion order.
 
 use crate::cache::{ByteLru, CacheCounters};
-use crate::exec::{prepare, Prepared, Runner};
+use crate::exec::{prepare, Analysis};
 use crate::pool::{lock, WorkerPool};
 use crate::request::{error_body, Envelope, Request, Response};
 use nuspi_equiv::EquivConfig;
@@ -155,7 +155,7 @@ struct Shared {
 }
 
 /// A dispatched request: either already answered (cache hit, or
-/// rejected before reaching a worker) or in flight on the pool.
+/// rejected before analysis) or in flight on the pool.
 enum Pending {
     Ready(Response),
     Waiting {
@@ -241,7 +241,21 @@ impl AnalysisEngine {
             request,
             deadline,
         } = envelope;
-        let Prepared { op, key, run } = prepare(&request, &self.cfg);
+        let op = request.op();
+        let (key, run) = match prepare(request, &self.cfg) {
+            Ok(job) => job,
+            // Rejected before analysis: uncacheable, and the error body
+            // is the answer.
+            Err(message) => {
+                counters.uncacheable.fetch_add(1, Ordering::Relaxed);
+                counters.completed.fetch_add(1, Ordering::Relaxed);
+                return Pending::Ready(Response {
+                    id,
+                    body: Arc::from(error_body(op, &message).as_str()),
+                    cached: false,
+                });
+            }
+        };
         if let Some(key) = key {
             if let Some(body) = lock(cache).get(key) {
                 counters.completed.fetch_add(1, Ordering::Relaxed);
@@ -267,40 +281,24 @@ impl AnalysisEngine {
         } else {
             counters.uncacheable.fetch_add(1, Ordering::Relaxed);
         }
-        match run {
-            Runner::Pooled(run) => {
-                let (tx, rx) = channel::<Arc<str>>();
-                let shared = Arc::clone(&self.shared);
-                let store = self.store.clone();
-                // Clock reads only happen with the recorder on, so the
-                // disabled path stays allocation- and syscall-free.
-                let enqueued = nuspi_obs::enabled().then(std::time::Instant::now);
-                self.pool.spawn(Box::new(move || {
-                    if let Some(t) = enqueued {
-                        nuspi_obs::record_duration("engine.queue_wait_us", t.elapsed());
-                    }
-                    let body = execute(run, op, key, &shared, store.as_deref());
-                    let _ = tx.send(body); // receiver may have timed out; fine
-                }));
-                Pending::Waiting {
-                    id,
-                    op,
-                    deadline,
-                    rx,
-                }
+        let (tx, rx) = channel::<Arc<str>>();
+        let shared = Arc::clone(&self.shared);
+        let store = self.store.clone();
+        // Clock reads only happen with the recorder on, so the disabled
+        // path stays allocation- and syscall-free.
+        let enqueued = nuspi_obs::enabled().then(std::time::Instant::now);
+        self.pool.spawn(Box::new(move || {
+            if let Some(t) = enqueued {
+                nuspi_obs::record_duration("engine.queue_wait_us", t.elapsed());
             }
-            // Pre-parsed ASTs (and early rejections) run on the
-            // submitting thread: the AST is not `Send`. Deadlines
-            // cannot preempt an inline run.
-            Runner::Inline(run) => {
-                let body = execute(run, op, key, &self.shared, self.store.as_deref());
-                counters.completed.fetch_add(1, Ordering::Relaxed);
-                Pending::Ready(Response {
-                    id,
-                    body,
-                    cached: false,
-                })
-            }
+            let body = execute(run, op, key, &shared, store.as_deref());
+            let _ = tx.send(body); // receiver may have timed out; fine
+        }));
+        Pending::Waiting {
+            id,
+            op,
+            deadline,
+            rx,
         }
     }
 
@@ -370,10 +368,10 @@ impl AnalysisEngine {
     }
 }
 
-/// Runs a prepared job, converting a panic into an error body and
-/// storing cacheable successes. Shared by the worker and inline paths.
-fn execute<F: FnOnce() -> String>(
-    run: F,
+/// Runs a job's analysis on its worker, converting a panic into an
+/// error body and storing cacheable successes.
+fn execute(
+    run: Analysis,
     op: &'static str,
     key: Option<u128>,
     shared: &Shared,
@@ -407,7 +405,7 @@ fn execute<F: FnOnce() -> String>(
         let busy = t.elapsed();
         nuspi_obs::record_duration("engine.exec_us", busy);
         let current = std::thread::current();
-        let worker = current.name().unwrap_or("inline");
+        let worker = current.name().unwrap_or("unnamed");
         nuspi_obs::counter(
             &format!("engine.worker.{worker}.busy_us"),
             busy.as_micros() as u64,
@@ -464,32 +462,40 @@ mod tests {
 
     #[test]
     fn expired_deadlines_report_errors_but_warm_the_cache() {
-        let engine = AnalysisEngine::with_jobs(1);
-        let req = Request::audit(SRC, &["m", "k"]);
-        let expired =
-            engine.submit(Envelope::from(req.clone()).with_deadline(Duration::from_nanos(1)));
-        if expired.is_ok() {
-            // Rare scheduling race: the job finished before the timeout
-            // was even armed. Nothing further to check.
-            return;
-        }
-        assert!(
-            expired.body.contains("deadline exceeded"),
-            "{}",
-            expired.body
-        );
-        assert_eq!(engine.stats().deadline_expirations, 1);
-        // The job still completes on its worker; wait for it to land in
-        // the cache, then retry.
-        for _ in 0..5000 {
-            if engine.stats().cache.insertions >= 1 {
-                break;
+        let parsed = Request::Audit {
+            process: nuspi_syntax::parse_process(SRC).unwrap().into(),
+            secrets: vec!["m".into(), "k".into()],
+        };
+        // A pre-parsed request runs on the pool like source text, so its
+        // deadline can expire too.
+        for req in [Request::audit(SRC, &["m", "k"]), parsed] {
+            // A job can finish before its 1 ns timeout is even armed; over
+            // a few fresh engines, some deadline must expire.
+            let expired = (0..8).find_map(|_| {
+                let engine = AnalysisEngine::with_jobs(1);
+                let r = engine
+                    .submit(Envelope::from(req.clone()).with_deadline(Duration::from_nanos(1)));
+                (!r.is_ok()).then_some((engine, r))
+            });
+            let (engine, expired) = expired.expect("no 1 ns deadline expired in 8 tries");
+            assert!(
+                expired.body.contains("deadline exceeded"),
+                "{}",
+                expired.body
+            );
+            assert_eq!(engine.stats().deadline_expirations, 1);
+            // The job still completes on its worker; wait for it to land
+            // in the cache, then retry.
+            for _ in 0..5000 {
+                if engine.stats().cache.insertions >= 1 {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(2));
             }
-            std::thread::sleep(Duration::from_millis(2));
+            let retry = engine.submit(req);
+            assert!(retry.cached, "retry should be served from the warm cache");
+            assert!(retry.is_ok());
         }
-        let retry = engine.submit(req);
-        assert!(retry.cached, "retry should be served from the warm cache");
-        assert!(retry.is_ok());
     }
 
     #[test]

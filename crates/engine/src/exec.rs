@@ -1,24 +1,23 @@
 //! Request execution: cache-key derivation and response-body rendering.
 //!
-//! [`prepare`] turns a [`Request`] into a [`Prepared`] job: the op name,
-//! an optional content-addressed cache key, and a [`Runner`] that runs
-//! the analysis and renders the body. The key is a [`StableHasher128`]
-//! digest over a key-schema version, the op, the process's α-invariant
-//! [`canonical_digest`], the sorted secret set, the op's own parameters,
-//! and the analysis budgets — everything the body is a function of, and
-//! nothing else. Two requests over α-equivalent processes with the same
-//! parameters therefore share one cache slot, and a budget change (which
-//! can change verdicts) never serves a stale body.
+//! [`prepare`] turns a [`Request`] into a job: an optional
+//! content-addressed cache key and the analysis that renders the body.
+//! The key is a [`StableHasher128`] digest over a key-schema version, the
+//! op, the process's α-invariant [`canonical_digest`], the sorted secret
+//! set, the op's own parameters, and the analysis budgets — everything
+//! the body is a function of, and nothing else. Two requests over
+//! α-equivalent processes with the same parameters therefore share one
+//! cache slot, and a budget change (which can change verdicts) never
+//! serves a stale body.
 //!
-//! The AST is not `Send` (values are `Rc`-shared), so work crosses to
-//! the pool as *source text* and is re-parsed on the worker. A miss
-//! therefore parses twice: once here, to derive the key from the
-//! canonical digest, and once on the worker. That is not free: on a
-//! 200-session, 4-hop network (33 KB of source, 2-core host) one parse
-//! takes about 1.2 ms against about 2.6 ms for constraint generation
-//! plus solving. Requests that arrive already parsed
-//! ([`ProcessInput::Parsed`]) run inline on the submitting thread
-//! instead; they still hit and warm the same cache.
+//! `prepare` parses a request's process once (or compiles its `.nu`
+//! program once) on the submitting thread, because the key needs the
+//! canonical digest. The parsed [`Process`] or [`nuspi_lang::Compiled`]
+//! is `Send` (values are `Arc`-shared), so it moves into the job, and
+//! every job runs on a pool worker, whether its process arrived as
+//! source text or already parsed ([`ProcessInput::Parsed`]). A request
+//! rejected before analysis (a parse error, an open process) has no job:
+//! its error body is the answer.
 //!
 //! Bodies are rendered in fixed key order with the same escaping rules
 //! as the diagnostics JSON backend, and contain no wall-clock readings,
@@ -27,7 +26,7 @@
 
 use crate::engine::EngineConfig;
 use crate::jsonio::escape;
-use crate::request::{error_body, ProcessInput, Request};
+use crate::request::{ProcessInput, Request};
 use nuspi_diagnostics::{lint_with, to_json_compact, LintConfig};
 use nuspi_security::{audit, reveals, AuditConfig, Knowledge, Policy};
 use nuspi_syntax::{canonical_digest, parse_process, Process, StableHasher128, Symbol};
@@ -49,29 +48,17 @@ use std::hash::Hasher as _;
 /// new key texts from ever being compared.
 const KEY_VERSION: u8 = 3;
 
-/// How a prepared job executes.
-pub(crate) enum Runner {
-    /// Runs on a pool worker (captures only `Send` data — source text
-    /// and scalar budgets).
-    Pooled(Box<dyn FnOnce() -> String + Send + 'static>),
-    /// Runs inline on the submitting thread (pre-parsed ASTs, and
-    /// requests rejected before analysis).
-    Inline(Box<dyn FnOnce() -> String + 'static>),
-}
+/// A job's analysis: it owns its parsed input and renders the body
+/// fields (no braces, no id) on a pool worker.
+pub(crate) type Analysis = Box<dyn FnOnce() -> String + Send + 'static>;
 
-/// A request made ready to run.
-pub(crate) struct Prepared {
-    /// The protocol op name (for error bodies and stats).
-    pub op: &'static str,
-    /// The content-addressed key, when the request is cacheable (it
-    /// parsed, and is a real analysis rather than a debug job).
-    pub key: Option<u128>,
-    /// Runs the analysis and renders the body fields (no braces, no id).
-    pub run: Runner,
-}
-
-fn parse_input(input: &ProcessInput) -> Result<Process, String> {
-    let p = input.build()?;
+/// The process of `input`, parsed if it came as source text, and
+/// rejected unless it is closed.
+fn closed(input: ProcessInput) -> Result<Process, String> {
+    let p = match input {
+        ProcessInput::Source(src) => parse_process(&src).map_err(|e| e.to_string())?,
+        ProcessInput::Parsed(p) => p,
+    };
     if !p.is_closed() {
         let mut vars: Vec<String> = p
             .free_vars()
@@ -87,22 +74,26 @@ fn parse_input(input: &ProcessInput) -> Result<Process, String> {
     Ok(p)
 }
 
-fn sorted_secrets(secrets: &[String]) -> Vec<String> {
-    let mut s = secrets.to_vec();
-    s.sort();
-    s.dedup();
-    s
+fn sorted_secrets(mut secrets: Vec<String>) -> Vec<String> {
+    secrets.sort();
+    secrets.dedup();
+    secrets
 }
 
-/// Derives the content-addressed key. `op_tag` numbers the op (1 audit,
-/// 2 lint, 3 solve, 4 reveals, 6 analyze_source, 7 equiv); tag 5 belonged
-/// to a retired op and is never reused, because persisted store entries
-/// may still carry it. `extras` carries the op-specific scalar
-/// parameters; `strings` the op-specific string parameters (each
-/// absorbed length-prefixed by `write`, so concatenations can't collide).
+fn digest(p: &Process) -> u128 {
+    canonical_digest(p).0
+}
+
+/// Derives the content-addressed key from the process's canonical
+/// `digest`. `op_tag` numbers the op (1 audit, 2 lint, 3 solve, 4
+/// reveals, 6 analyze_source, 7 equiv); tag 5 belonged to a retired op
+/// and is never reused, because persisted store entries may still carry
+/// it. `extras` carries the op-specific scalar parameters; `strings` the
+/// op-specific string parameters (each absorbed length-prefixed by
+/// `write`, so concatenations can't collide).
 fn derive_key(
     op_tag: u8,
-    p: &Process,
+    digest: u128,
     secrets: &[String],
     extras: &[u64],
     strings: &[&str],
@@ -111,7 +102,7 @@ fn derive_key(
     let mut h = StableHasher128::new();
     h.write_u8(KEY_VERSION);
     h.write_u8(op_tag);
-    h.write_u128(canonical_digest(p).0);
+    h.write_u128(digest);
     for s in secrets {
         h.write(s.as_bytes());
     }
@@ -146,91 +137,56 @@ fn public_free_names(p: &Process, policy: &Policy) -> Vec<Symbol> {
     names
 }
 
-/// Builds the [`Runner`] for an analysis over `input`: pooled for
-/// source text (re-parsed on the worker), inline for a pre-parsed AST.
-/// `build` must capture only `Send` data.
-fn runner(
-    op: &'static str,
-    input: &ProcessInput,
-    p: Process,
-    build: impl FnOnce(Process) -> String + Send + 'static,
-) -> Runner {
-    match input {
-        ProcessInput::Source(src) => {
-            let src = src.clone();
-            Runner::Pooled(Box::new(move || match parse_process(&src) {
-                Ok(p) => build(p),
-                // Unreachable in practice: the same text parsed at
-                // prepare time. Kept as an error body, not a panic.
-                Err(e) => error_body(op, &e.to_string()),
-            }))
-        }
-        ProcessInput::Parsed(_) => Runner::Inline(Box::new(move || build(p))),
-    }
-}
-
-/// Prepares `request` for execution under `cfg`.
-pub(crate) fn prepare(request: &Request, cfg: &EngineConfig) -> Prepared {
-    match request {
+/// Prepares `request` for execution under `cfg`: its content-addressed
+/// key, when it is cacheable (a real analysis rather than a debug job),
+/// and its analysis. A request rejected before analysis (a parse error,
+/// an open process) gets the message of its error body instead.
+pub(crate) fn prepare(
+    request: Request,
+    cfg: &EngineConfig,
+) -> Result<(Option<u128>, Analysis), String> {
+    Ok(match request {
         Request::Audit { process, secrets } => {
-            let op = "audit";
+            let p = closed(process)?;
             let secrets = sorted_secrets(secrets);
-            match parse_input(process) {
-                Err(e) => fail(op, e),
-                Ok(p) => {
-                    let key = derive_key(1, &p, &secrets, &[], &[], cfg);
-                    let audit_cfg = AuditConfig {
-                        exec: cfg.exec,
-                        intruder: cfg.intruder,
-                    };
-                    let run = runner(op, process, p, move |p| {
-                        let policy = policy_of(&secrets);
-                        let report = audit(&p, &policy, &audit_cfg);
-                        let mut body = String::new();
-                        let _ = write!(
-                            body,
-                            "\"op\":\"audit\",\"status\":\"ok\",\"secure\":{},\
-                             \"confined\":{},\"careful\":{},\"attacks\":{},",
-                            report.is_secure(),
-                            report.confinement.is_confined(),
-                            report.carefulness.is_careful(),
-                            report.attacks.len()
-                        );
-                        let _ = write!(body, "\"report\":\"{}\"", escape(&report.to_string()));
-                        body
-                    });
-                    Prepared {
-                        op,
-                        key: Some(key),
-                        run,
-                    }
-                }
-            }
+            let key = derive_key(1, digest(&p), &secrets, &[], &[], cfg);
+            let audit_cfg = AuditConfig {
+                exec: cfg.exec,
+                intruder: cfg.intruder,
+            };
+            let run: Analysis = Box::new(move || {
+                let policy = policy_of(&secrets);
+                let report = audit(&p, &policy, &audit_cfg);
+                let mut body = String::new();
+                let _ = write!(
+                    body,
+                    "\"op\":\"audit\",\"status\":\"ok\",\"secure\":{},\
+                     \"confined\":{},\"careful\":{},\"attacks\":{},",
+                    report.is_secure(),
+                    report.confinement.is_confined(),
+                    report.carefulness.is_careful(),
+                    report.attacks.len()
+                );
+                let _ = write!(body, "\"report\":\"{}\"", escape(&report.to_string()));
+                body
+            });
+            (Some(key), run)
         }
         Request::Lint { process, secrets } => {
-            let op = "lint";
+            let p = closed(process)?;
             let secrets = sorted_secrets(secrets);
-            match parse_input(process) {
-                Err(e) => fail(op, e),
-                Ok(p) => {
-                    let key = derive_key(2, &p, &secrets, &[], &[], cfg);
-                    let exec = cfg.exec;
-                    let run = runner(op, process, p, move |p| {
-                        let policy = policy_of(&secrets);
-                        let diags = lint_with(&p, &policy, LintConfig { exec });
-                        format!(
-                            "\"op\":\"lint\",\"status\":\"ok\",\"diagnostics\":{},\"report\":{}",
-                            diags.len(),
-                            to_json_compact(&diags)
-                        )
-                    });
-                    Prepared {
-                        op,
-                        key: Some(key),
-                        run,
-                    }
-                }
-            }
+            let key = derive_key(2, digest(&p), &secrets, &[], &[], cfg);
+            let exec = cfg.exec;
+            let run: Analysis = Box::new(move || {
+                let policy = policy_of(&secrets);
+                let diags = lint_with(&p, &policy, LintConfig { exec });
+                format!(
+                    "\"op\":\"lint\",\"status\":\"ok\",\"diagnostics\":{},\"report\":{}",
+                    diags.len(),
+                    to_json_compact(&diags)
+                )
+            });
+            (Some(key), run)
         }
         Request::Solve {
             process,
@@ -238,49 +194,38 @@ pub(crate) fn prepare(request: &Request, cfg: &EngineConfig) -> Prepared {
             attacker,
             depth,
         } => {
-            let op = "solve";
+            let p = closed(process)?;
             let secrets = sorted_secrets(secrets);
-            let (attacker, depth) = (*attacker, *depth);
-            match parse_input(process) {
-                Err(e) => fail(op, e),
-                Ok(p) => {
-                    let key = derive_key(
-                        3,
-                        &p,
-                        &secrets,
-                        &[u64::from(attacker), depth as u64],
-                        &[],
-                        cfg,
-                    );
-                    let run = runner(op, process, p, move |p| {
-                        let solution = if attacker {
-                            let secret: HashSet<Symbol> =
-                                secrets.iter().map(|s| Symbol::intern(s)).collect();
-                            nuspi_cfa::analyze_with_attacker(&p, &secret).solution
-                        } else {
-                            nuspi_cfa::analyze(&p)
-                        };
-                        let st = solution.stats();
-                        // `render_estimate_for` prints labels/vars as
-                        // pre-order ordinals, so the body is a function
-                        // of the α-class (cacheable), not of this
-                        // parse's run-minted indices.
-                        format!(
-                            "\"op\":\"solve\",\"status\":\"ok\",\"attacker\":{},\
-                             \"rounds\":{},\"productions\":{},\"estimate\":\"{}\"",
-                            attacker,
-                            st.rounds,
-                            st.productions,
-                            escape(&solution.render_estimate_for(&p, depth))
-                        )
-                    });
-                    Prepared {
-                        op,
-                        key: Some(key),
-                        run,
-                    }
-                }
-            }
+            let key = derive_key(
+                3,
+                digest(&p),
+                &secrets,
+                &[u64::from(attacker), depth as u64],
+                &[],
+                cfg,
+            );
+            let run: Analysis = Box::new(move || {
+                let solution = if attacker {
+                    let secret: HashSet<Symbol> =
+                        secrets.iter().map(|s| Symbol::intern(s)).collect();
+                    nuspi_cfa::analyze_with_attacker(&p, &secret).solution
+                } else {
+                    nuspi_cfa::analyze(&p)
+                };
+                let st = solution.stats();
+                // `render_estimate_for` prints labels/vars as pre-order
+                // ordinals, so the body is a function of the α-class
+                // (cacheable), not of this parse's run-minted indices.
+                format!(
+                    "\"op\":\"solve\",\"status\":\"ok\",\"attacker\":{},\
+                     \"rounds\":{},\"productions\":{},\"estimate\":\"{}\"",
+                    attacker,
+                    st.rounds,
+                    st.productions,
+                    escape(&solution.render_estimate_for(&p, depth))
+                )
+            });
+            (Some(key), run)
         }
         Request::Reveals {
             process,
@@ -288,185 +233,142 @@ pub(crate) fn prepare(request: &Request, cfg: &EngineConfig) -> Prepared {
             secret,
             known,
         } => {
-            let op = "reveals";
+            let p = closed(process)?;
             let secrets = sorted_secrets(secrets);
             let known = sorted_secrets(known); // same sort+dedup discipline
-            let secret = secret.clone();
-            match parse_input(process) {
-                Err(e) => fail(op, e),
-                Ok(p) => {
-                    let known_refs: Vec<&str> = known.iter().map(String::as_str).collect();
-                    let key = derive_key(
-                        4,
-                        &p,
-                        &secrets,
-                        &[known.len() as u64],
-                        &[&secret, &known_refs.join("\u{0}")],
-                        cfg,
-                    );
-                    let intruder = cfg.intruder;
-                    let run = runner(op, process, p, move |p| {
-                        let policy = policy_of(&secrets);
-                        let k0 = if known.is_empty() {
-                            Knowledge::from_names(public_free_names(&p, &policy))
-                        } else {
-                            Knowledge::from_names(known.iter().map(|s| Symbol::intern(s)))
-                        };
-                        let target = Symbol::intern(&secret);
-                        let attack = reveals(&p, &k0, target, &intruder);
-                        let mut body = format!(
-                            "\"op\":\"reveals\",\"status\":\"ok\",\"secret\":\"{}\",\
-                             \"revealed\":{},\"trace\":[",
-                            escape(&secret),
-                            attack.is_some()
-                        );
-                        if let Some(a) = &attack {
-                            for (i, step) in a.trace.iter().enumerate() {
-                                if i > 0 {
-                                    body.push(',');
-                                }
-                                let _ = write!(body, "\"{}\"", escape(step));
-                            }
+            let key = derive_key(
+                4,
+                digest(&p),
+                &secrets,
+                &[known.len() as u64],
+                &[&secret, &known.join("\u{0}")],
+                cfg,
+            );
+            let intruder = cfg.intruder;
+            let run: Analysis = Box::new(move || {
+                let policy = policy_of(&secrets);
+                let k0 = if known.is_empty() {
+                    Knowledge::from_names(public_free_names(&p, &policy))
+                } else {
+                    Knowledge::from_names(known.iter().map(|s| Symbol::intern(s)))
+                };
+                let target = Symbol::intern(&secret);
+                let attack = reveals(&p, &k0, target, &intruder);
+                let mut body = format!(
+                    "\"op\":\"reveals\",\"status\":\"ok\",\"secret\":\"{}\",\
+                     \"revealed\":{},\"trace\":[",
+                    escape(&secret),
+                    attack.is_some()
+                );
+                if let Some(a) = &attack {
+                    for (i, step) in a.trace.iter().enumerate() {
+                        if i > 0 {
+                            body.push(',');
                         }
-                        body.push(']');
-                        if let Some(a) = &attack {
-                            let _ = write!(body, ",\"knowledge_size\":{}", a.knowledge_size);
-                        }
-                        body
-                    });
-                    Prepared {
-                        op,
-                        key: Some(key),
-                        run,
+                        let _ = write!(body, "\"{}\"", escape(step));
                     }
                 }
-            }
+                body.push(']');
+                if let Some(a) = &attack {
+                    let _ = write!(body, ",\"knowledge_size\":{}", a.knowledge_size);
+                }
+                body
+            });
+            (Some(key), run)
         }
         Request::AnalyzeSource { file, source } => {
-            let op = "analyze_source";
-            match nuspi_lang::compile(file, source) {
-                // Frontend failures are uncacheable error bodies, like
-                // parse failures of the νSPI ops.
-                Err(e) => fail(op, format!("{file}:{}: {}", e.pos, e.message)),
-                Ok(c) => {
-                    // Keyed on the α-invariant digest of the *lowered*
-                    // process plus the file name (it appears verbatim in
-                    // the body's anchors) plus every source-map site
-                    // record: the body anchors diagnostics to the
-                    // declarations' line:col, so an edit that moves a
-                    // declaration must re-key (a cached body would point
-                    // at the wrong lines of the new file), while a
-                    // formatting-only edit that keeps every declaration
-                    // in place still shares the slot.
-                    let mut anchors = String::new();
-                    for (base, site) in &c.map.sites {
-                        let _ = write!(
-                            anchors,
-                            "{base}\u{0}{}\u{0}{}\u{0}{}\u{0}{}:{};",
-                            site.ident,
-                            site.role.as_str(),
-                            site.label.as_deref().unwrap_or(""),
-                            site.line,
-                            site.col
-                        );
-                    }
-                    let key = derive_key(6, &c.process, &c.secrets, &[], &[file, &anchors], cfg);
-                    let (file, source) = (file.clone(), source.clone());
-                    // The lowered AST is `Rc`-shared (not `Send`); the
-                    // worker recompiles from source, like the νSPI ops
-                    // re-parse.
-                    let run = Runner::Pooled(Box::new(move || {
-                        let report = nuspi_lang::check(&file, &source);
-                        let errors = report
-                            .diags
-                            .iter()
-                            .filter(|d| d.diag.severity == nuspi_diagnostics::Severity::Error)
-                            .count();
-                        format!(
-                            "\"op\":\"analyze_source\",\"status\":\"ok\",\"file\":\"{}\",\
-                             \"verdict\":\"{}\",\"errors\":{},\"report\":{}",
-                            escape(&file),
-                            report.verdict.as_str(),
-                            errors,
-                            nuspi_lang::check_to_json_compact(&report)
-                        )
-                    }));
-                    Prepared {
-                        op,
-                        key: Some(key),
-                        run,
-                    }
-                }
+            // Frontend failures are uncacheable error bodies, like parse
+            // failures of the νSPI ops.
+            let c = nuspi_lang::compile(&file, &source)
+                .map_err(|e| format!("{file}:{}: {}", e.pos, e.message))?;
+            // Keyed on the α-invariant digest of the *lowered* process
+            // plus the file name (it appears verbatim in the body's
+            // anchors) plus every source-map site record: the body
+            // anchors diagnostics to the declarations' line:col, so an
+            // edit that moves a declaration must re-key (a cached body
+            // would point at the wrong lines of the new file), while a
+            // formatting-only edit that keeps every declaration in place
+            // still shares the slot.
+            let mut anchors = String::new();
+            for (base, site) in &c.map.sites {
+                let _ = write!(
+                    anchors,
+                    "{base}\u{0}{}\u{0}{}\u{0}{}\u{0}{}:{};",
+                    site.ident,
+                    site.role.as_str(),
+                    site.label.as_deref().unwrap_or(""),
+                    site.line,
+                    site.col
+                );
             }
+            let key = derive_key(
+                6,
+                digest(&c.process),
+                &c.secrets,
+                &[],
+                &[&file, &anchors],
+                cfg,
+            );
+            let run: Analysis = Box::new(move || {
+                let report = nuspi_lang::check_compiled(c);
+                let errors = report
+                    .diags
+                    .iter()
+                    .filter(|d| d.diag.severity == nuspi_diagnostics::Severity::Error)
+                    .count();
+                format!(
+                    "\"op\":\"analyze_source\",\"status\":\"ok\",\"file\":\"{}\",\
+                     \"verdict\":\"{}\",\"errors\":{},\"report\":{}",
+                    escape(&report.file),
+                    report.verdict.as_str(),
+                    errors,
+                    nuspi_lang::check_to_json_compact(&report)
+                )
+            });
+            (Some(key), run)
         }
         Request::Equiv { left, right } => {
-            let op = "equiv";
-            match (parse_input(left), parse_input(right)) {
-                (Err(e), _) => fail(op, format!("left: {e}")),
-                (_, Err(e)) => fail(op, format!("right: {e}")),
-                (Ok(l), Ok(r)) => {
-                    // Order-independent pair key: the low digest plays
-                    // the `p` slot, the high digest rides in `extras` —
-                    // `equiv(P, Q)` and `equiv(Q, P)` share one entry.
-                    // The game budgets are keyed for this op only (via
-                    // `strings`), so changing them re-keys `equiv`
-                    // bodies without touching the static ops' entries.
-                    let (dl, dr) = (canonical_digest(&l).0, canonical_digest(&r).0);
-                    let plo = if dl <= dr { &l } else { &r };
-                    let hi = dl.max(dr);
-                    let key = derive_key(
-                        7,
-                        plo,
-                        &[],
-                        &[hi as u64, (hi >> 64) as u64],
-                        &[&format!("{:?}", cfg.equiv)],
-                        cfg,
-                    );
-                    let equiv_cfg = cfg.equiv;
-                    let run = match (left, right) {
-                        (ProcessInput::Source(ls), ProcessInput::Source(rs)) => {
-                            let (ls, rs) = (ls.clone(), rs.clone());
-                            Runner::Pooled(Box::new(move || {
-                                match (parse_process(&ls), parse_process(&rs)) {
-                                    (Ok(l), Ok(r)) => equiv_body(&l, &r, &equiv_cfg),
-                                    (Err(e), _) | (_, Err(e)) => {
-                                        error_body("equiv", &e.to_string())
-                                    }
-                                }
-                            }))
-                        }
-                        // A pre-parsed side pins the job inline: the AST
-                        // is `Rc`-shared and cannot cross to the pool.
-                        _ => Runner::Inline(Box::new(move || equiv_body(&l, &r, &equiv_cfg))),
-                    };
-                    Prepared {
-                        op,
-                        key: Some(key),
-                        run,
-                    }
-                }
-            }
+            let l = closed(left).map_err(|e| format!("left: {e}"))?;
+            let r = closed(right).map_err(|e| format!("right: {e}"))?;
+            // Oriented once, by α-invariant digest: the low digest plays
+            // the key's process slot and the body's `lhs`, so `equiv(P,
+            // Q)` and `equiv(Q, P)` share one entry and render one body.
+            // The game budgets are keyed for this op only (via
+            // `strings`), so changing them re-keys `equiv` bodies without
+            // touching the static ops' entries.
+            let (dl, dr) = (digest(&l), digest(&r));
+            let (lo, hi, dlo, dhi) = if dl <= dr {
+                (l, r, dl, dr)
+            } else {
+                (r, l, dr, dl)
+            };
+            let key = derive_key(
+                7,
+                dlo,
+                &[],
+                &[dhi as u64, (dhi >> 64) as u64],
+                &[&format!("{:?}", cfg.equiv)],
+                cfg,
+            );
+            let equiv_cfg = cfg.equiv;
+            let run: Analysis = Box::new(move || equiv_body(&lo, &hi, dlo, dhi, &equiv_cfg));
+            (Some(key), run)
         }
-        Request::DebugPanic => Prepared {
-            op: "debug-panic",
-            key: None,
-            run: Runner::Pooled(Box::new(|| panic!("debug-panic requested"))),
-        },
-    }
+        Request::DebugPanic => (None, Box::new(|| panic!("debug-panic requested"))),
+    })
 }
 
-/// Renders the `equiv` body. Re-orients the pair by α-invariant digest
-/// first (min digest = `lhs`), so the body — verdict, trace, meters —
-/// is a pure function of the *unordered* pair and is byte-identical
-/// whichever order the caller submitted and whether it ran pooled or
-/// inline.
-fn equiv_body(l: &Process, r: &Process, cfg: &nuspi_equiv::EquivConfig) -> String {
-    let (dl, dr) = (canonical_digest(l).0, canonical_digest(r).0);
-    let (lo, hi, dlo, dhi) = if dl <= dr {
-        (l, r, dl, dr)
-    } else {
-        (r, l, dr, dl)
-    };
+/// Renders the `equiv` body of the digest-oriented pair (`dlo` is the
+/// canonical digest of `lo`, `dhi` of `hi`, `dlo <= dhi`), so the body —
+/// verdict, trace, meters — is a pure function of the *unordered* pair,
+/// byte-identical whichever order the caller submitted.
+fn equiv_body(
+    lo: &Process,
+    hi: &Process,
+    dlo: u128,
+    dhi: u128,
+    cfg: &nuspi_equiv::EquivConfig,
+) -> String {
     // The attacker starts off knowing every free name of either side —
     // the observer of Definition 8 owns the public world.
     let mut public: Vec<Symbol> = lo
@@ -511,16 +413,6 @@ fn equiv_body(l: &Process, r: &Process, cfg: &nuspi_equiv::EquivConfig) -> Strin
     body
 }
 
-/// A request that failed before reaching a worker (parse error, open
-/// process): uncacheable, and its "run" just renders the error.
-fn fail(op: &'static str, message: String) -> Prepared {
-    Prepared {
-        op,
-        key: None,
-        run: Runner::Inline(Box::new(move || error_body(op, &message))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -529,10 +421,17 @@ mod tests {
         EngineConfig::default()
     }
 
-    fn run(p: Prepared) -> String {
-        match p.run {
-            Runner::Pooled(f) => f(),
-            Runner::Inline(f) => f(),
+    /// The request's key: `None` when it is uncacheable or rejected.
+    fn key(request: Request, cfg: &EngineConfig) -> Option<u128> {
+        prepare(request, cfg).ok().and_then(|(key, _)| key)
+    }
+
+    /// The body the engine answers `request` with.
+    fn run(request: Request) -> String {
+        let op = request.op();
+        match prepare(request, &cfg()) {
+            Ok((_, run)) => run(),
+            Err(message) => crate::request::error_body(op, &message),
         }
     }
 
@@ -550,49 +449,41 @@ mod tests {
             body: Box::new(body.rename_name(*name, fresh)),
         };
         assert_ne!(p, q, "syntactically different");
-        let a = prepare(
-            &Request::Audit {
-                process: p.into(),
-                secrets: vec!["k".into()],
-            },
-            &cfg(),
-        );
-        let b = prepare(
-            &Request::Audit {
-                process: q.into(),
-                secrets: vec!["k".into()],
-            },
-            &cfg(),
-        );
-        assert_eq!(a.key, b.key);
-        assert!(a.key.is_some());
+        let audit = |p: Process| Request::Audit {
+            process: p.into(),
+            secrets: vec!["k".into()],
+        };
+        let a = key(audit(p), &cfg());
+        let b = key(audit(q), &cfg());
+        assert_eq!(a, b);
+        assert!(a.is_some());
     }
 
     #[test]
     fn different_canonical_bases_do_not_share_a_key() {
         // `(new m)` vs `(new z)` differ by canonical base, which the
         // calculus's α-conversion never renames across — distinct keys.
-        let a = prepare(&Request::audit("(new m) c<{m, new r}:k>.0", &["m"]), &cfg());
-        let b = prepare(&Request::audit("(new z) c<{z, new r}:k>.0", &["m"]), &cfg());
-        assert_ne!(a.key, b.key);
+        let a = key(Request::audit("(new m) c<{m, new r}:k>.0", &["m"]), &cfg());
+        let b = key(Request::audit("(new z) c<{z, new r}:k>.0", &["m"]), &cfg());
+        assert_ne!(a, b);
     }
 
     #[test]
     fn different_ops_and_params_get_distinct_keys() {
         let src = "(new m) c<{m, new r}:k>.0";
-        let audit = prepare(&Request::audit(src, &["m"]), &cfg());
-        let lint = prepare(&Request::lint(src, &["m"]), &cfg());
-        let solve = prepare(&Request::solve(src), &cfg());
-        let deep = prepare(
-            &Request::Solve {
-                process: src.into(),
-                secrets: Vec::new(),
-                attacker: false,
-                depth: 7,
-            },
-            &cfg(),
-        );
-        let keys = [audit.key, lint.key, solve.key, deep.key];
+        let deep = Request::Solve {
+            process: src.into(),
+            secrets: Vec::new(),
+            attacker: false,
+            depth: 7,
+        };
+        let keys = [
+            Request::audit(src, &["m"]),
+            Request::lint(src, &["m"]),
+            Request::solve(src),
+            deep,
+        ]
+        .map(|r| key(r, &cfg()));
         for (i, a) in keys.iter().enumerate() {
             assert!(a.is_some());
             for b in keys.iter().skip(i + 1) {
@@ -604,18 +495,17 @@ mod tests {
     #[test]
     fn budget_changes_rekey() {
         let src = "(new m) c<{m, new r}:k>.0";
-        let a = prepare(&Request::audit(src, &["m"]), &cfg());
+        let a = key(Request::audit(src, &["m"]), &cfg());
         let mut tight = cfg();
         tight.intruder.max_depth = 2;
-        let b = prepare(&Request::audit(src, &["m"]), &tight);
-        assert_ne!(a.key, b.key);
+        let b = key(Request::audit(src, &["m"]), &tight);
+        assert_ne!(a, b);
     }
 
     #[test]
     fn parse_failures_are_uncacheable_error_bodies() {
-        let p = prepare(&Request::solve("(new"), &cfg());
-        assert!(p.key.is_none());
-        let body = run(p);
+        assert!(prepare(Request::solve("(new"), &cfg()).is_err());
+        let body = run(Request::solve("(new"));
         assert!(body.contains("\"status\":\"error\""), "{body}");
     }
 
@@ -627,65 +517,70 @@ mod tests {
         let Process::Input { then, .. } = whole else {
             panic!()
         };
-        let p = prepare(
-            &Request::Solve {
-                process: (*then).into(),
-                secrets: Vec::new(),
-                attacker: false,
-                depth: 3,
-            },
-            &cfg(),
-        );
-        assert!(p.key.is_none());
-        let body = run(p);
+        let open = Request::Solve {
+            process: (*then).into(),
+            secrets: Vec::new(),
+            attacker: false,
+            depth: 3,
+        };
+        assert!(prepare(open.clone(), &cfg()).is_err());
+        let body = run(open);
         assert!(body.contains("not closed"), "{body}");
         assert!(body.contains("free variables: x"), "{body}");
     }
 
     #[test]
-    fn parsed_inputs_run_inline_and_match_source_bodies() {
+    fn jobs_can_own_their_parsed_input() {
+        // A compile-time guard: a job moves its parsed process (or
+        // compiled program) to a pool worker, so an `Rc` put back into
+        // the AST fails the build here.
+        fn send<T: Send>() {}
+        send::<Process>();
+        send::<nuspi_lang::Compiled>();
+        send::<Request>();
+    }
+
+    #[test]
+    fn parsed_and_source_inputs_share_keys_and_bodies() {
         let src = "(new m) c<{m, new r}:k>.0";
-        let parsed = parse_process(src).unwrap();
-        let via_source = prepare(&Request::solve(src), &cfg());
-        let via_ast = prepare(
-            &Request::Solve {
-                process: parsed.into(),
-                secrets: Vec::new(),
-                attacker: false,
-                depth: 3,
-            },
-            &cfg(),
+        let via_source = Request::solve(src);
+        let via_ast = Request::Solve {
+            process: parse_process(src).unwrap().into(),
+            secrets: Vec::new(),
+            attacker: false,
+            depth: 3,
+        };
+        assert_eq!(
+            key(via_source.clone(), &cfg()),
+            key(via_ast.clone(), &cfg())
         );
-        assert_eq!(via_source.key, via_ast.key);
-        assert!(matches!(via_source.run, Runner::Pooled(_)));
-        assert!(matches!(via_ast.run, Runner::Inline(_)));
         assert_eq!(run(via_source), run(via_ast));
     }
 
     #[test]
     fn equiv_keys_are_pair_order_independent() {
         let (p, q) = ("(new n) c<n>.0", "(hide n) c<n>.0");
-        let a = prepare(&Request::equiv(p, q), &cfg());
-        let b = prepare(&Request::equiv(q, p), &cfg());
-        assert_eq!(a.key, b.key);
-        assert!(a.key.is_some());
+        let a = key(Request::equiv(p, q), &cfg());
+        let b = key(Request::equiv(q, p), &cfg());
+        assert_eq!(a, b);
+        assert!(a.is_some());
         // ... but a different pair is a different slot.
-        let c = prepare(&Request::equiv(p, p), &cfg());
-        assert_ne!(a.key, c.key);
+        let c = key(Request::equiv(p, p), &cfg());
+        assert_ne!(a, c);
     }
 
     #[test]
     fn equiv_budget_changes_rekey_equiv_only() {
         let req = Request::equiv("c<a>.0", "c<b>.0");
-        let a = prepare(&req, &cfg());
+        let a = key(req.clone(), &cfg());
         let mut tight = cfg();
         tight.equiv.game_depth = 2;
-        let b = prepare(&req, &tight);
-        assert_ne!(a.key, b.key);
+        let b = key(req, &tight);
+        assert_ne!(a, b);
         // The static ops don't depend on the game budgets: their keys —
         // and any persisted cache entries — survive an equiv re-tune.
         let audit = Request::audit("(new m) c<{m, new r}:k>.0", &["m"]);
-        assert_eq!(prepare(&audit, &cfg()).key, prepare(&audit, &tight).key);
+        assert_eq!(key(audit.clone(), &cfg()), key(audit, &tight));
     }
 
     #[test]
@@ -693,8 +588,8 @@ mod tests {
         // Submitting the pair in either order renders byte-identical
         // bodies (the cache stores one line for both orientations).
         let (p, q) = ("(new n) c<n>.0", "(hide n) c<n>.0");
-        let ab = run(prepare(&Request::equiv(p, q), &cfg()));
-        let ba = run(prepare(&Request::equiv(q, p), &cfg()));
+        let ab = run(Request::equiv(p, q));
+        let ba = run(Request::equiv(q, p));
         assert_eq!(ab, ba);
         assert!(ab.contains("\"verdict\":\"distinguished\""), "{ab}");
         assert!(ab.contains("\"trace\":["), "{ab}");
@@ -702,9 +597,8 @@ mod tests {
 
     #[test]
     fn equiv_rejects_unparseable_sides_uncached() {
-        let p = prepare(&Request::equiv("(new", "0"), &cfg());
-        assert!(p.key.is_none());
-        let body = run(p);
+        assert!(prepare(Request::equiv("(new", "0"), &cfg()).is_err());
+        let body = run(Request::equiv("(new", "0"));
         assert!(body.contains("\"status\":\"error\""), "{body}");
         assert!(body.contains("left:"), "{body}");
     }
@@ -719,8 +613,8 @@ mod tests {
             Request::reveals(src, &["m", "k"], "m"),
             Request::equiv(src, "(new m2) c<{m2, new r}:k>.0"),
         ] {
-            let once = run(prepare(&req, &cfg()));
-            let twice = run(prepare(&req, &cfg()));
+            let once = run(req.clone());
+            let twice = run(req);
             assert_eq!(once, twice);
             assert!(once.contains("\"status\":\"ok\""), "{once}");
         }

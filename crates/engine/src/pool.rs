@@ -10,11 +10,12 @@
 //!
 //! The queue, its workers and their backstop panic counter are created
 //! with the first job, not with the pool: an engine that only ever
-//! answers from its cache, or inline, never pays for them, and building
-//! a pool allocates nothing. The queue matters as much as the threads: its block is
-//! cache-padded (over-aligned), and right after a busy engine was
-//! dropped that one allocation took ~1.5 µs on a 2-core host, against
-//! ~0.15 µs for a plain small one: most of building the next engine.
+//! answers from its cache, or rejects what it is sent, never pays for
+//! them, and building a pool allocates nothing. The queue matters as
+//! much as the threads: its block is cache-padded (over-aligned), and
+//! right after a busy engine was dropped that one allocation took
+//! ~1.5 µs on a 2-core host, against ~0.15 µs for a plain small one:
+//! most of building the next engine.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};

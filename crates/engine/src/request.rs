@@ -3,10 +3,12 @@
 //! A [`Request`] names one analysis over one process — the same four
 //! workloads the `nuspi` CLI exposes one-shot (`Audit`, `Lint`,
 //! `Solve`, `Reveals`) — with the process given either as νSPI source
-//! text or as an already-built [`Process`] (API callers resubmitting
-//! executor residuals). An [`Envelope`] wraps a request with the
-//! protocol envelope fields: an optional correlation id echoed back in
-//! the response, and an optional deadline.
+//! text or as an already-built [`Process`] (API callers holding a
+//! process built in code, such as an instance `P[n/x]` that has no
+//! source text of its own). Both kinds run the same way: parsed at most
+//! once, analysed on the engine's pool. An [`Envelope`] wraps a request
+//! with the protocol envelope fields: an optional correlation id echoed
+//! back in the response, and an optional deadline.
 //!
 //! A [`Response`] carries the rendered JSON body *without* the id, so
 //! the body is a pure function of the request and can be shared through
@@ -14,7 +16,7 @@
 //! back in for the wire.
 
 use crate::jsonio::escape;
-use nuspi_syntax::{parse_process, Process};
+use nuspi_syntax::Process;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -24,17 +26,8 @@ pub enum ProcessInput {
     /// νSPI source text, parsed by the engine.
     Source(String),
     /// An already-built process (API callers only; the wire protocol
-    /// always sends source).
+    /// always sends source). It moves into its job on the pool.
     Parsed(Process),
-}
-
-impl ProcessInput {
-    pub(crate) fn build(&self) -> Result<Process, String> {
-        match self {
-            ProcessInput::Source(src) => parse_process(src).map_err(|e| e.to_string()),
-            ProcessInput::Parsed(p) => Ok(p.clone()),
-        }
-    }
 }
 
 impl From<&str> for ProcessInput {

@@ -21,8 +21,8 @@ use nuspi_security::{n_star, n_star_name};
 use nuspi_syntax::{builder, parse_process, Process, Value};
 
 /// The 25-case request list: a lint over every suite case. Closed
-/// protocols go in as source text (pooled execution); the tracked open
-/// examples only exist as ASTs, so they go in parsed (inline execution).
+/// protocols go in as source text; the tracked open examples only exist
+/// as ASTs, so they go in parsed. Both run on the pool.
 fn suite_requests() -> Vec<Request> {
     let mut out = Vec::new();
     for spec in suite() {

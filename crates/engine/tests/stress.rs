@@ -5,7 +5,8 @@
 //! byte-identical bodies to the same requests run serially on a
 //! one-worker engine.
 
-use nuspi_engine::{AnalysisEngine, Envelope, Request};
+use nuspi_engine::{AnalysisEngine, Envelope, ProcessInput, Request};
+use nuspi_syntax::parse_process;
 use std::time::Duration;
 
 const N: usize = 240;
@@ -17,22 +18,34 @@ fn source(i: usize) -> String {
     format!("(new m{k}) (new key{k}) (c<{{m{k}, new r}}:key{k}>.0 | c(x). case x of {{y}}:key{k} in d<y>.0)")
 }
 
+/// Request `i` of the mix over `process`: its kind and secret follow
+/// `i % 8`.
+fn request(i: usize, process: ProcessInput) -> Request {
+    let secrets = vec![format!("m{}", i % 8)];
+    match i % 8 {
+        3 => Request::DebugPanic,
+        0 | 4 => Request::Audit { process, secrets },
+        1 | 5 => Request::Lint { process, secrets },
+        _ => Request::Solve {
+            process,
+            secrets: Vec::new(),
+            attacker: false,
+            depth: 3,
+        },
+    }
+}
+
 /// The deterministic part of the workload: analyses and injected
-/// panics, no deadlines (deadline outcomes depend on scheduling).
+/// panics, no deadlines (deadline outcomes depend on scheduling). It
+/// ends with pre-parsed copies of the first eight requests (`r{N + i}`
+/// copies `r{i}`), which run on the pool like source text and share
+/// their keys.
 fn deterministic_envelopes() -> Vec<Envelope> {
-    (0..N)
-        .map(|i| {
-            let src = source(i);
-            let secrets = [format!("m{}", i % 8)];
-            let secrets: Vec<&str> = secrets.iter().map(String::as_str).collect();
-            let req = match i % 8 {
-                3 => Request::DebugPanic,
-                0 | 4 => Request::audit(&src, &secrets),
-                1 | 5 => Request::lint(&src, &secrets),
-                _ => Request::solve(&src),
-            };
-            Envelope::from(req).with_id(format!("r{i}"))
-        })
+    let sources = (0..N).map(|i| (i, ProcessInput::from(source(i).as_str())));
+    let parsed = (0..8).map(|i| (N + i, parse_process(&source(i)).unwrap().into()));
+    sources
+        .chain(parsed)
+        .map(|(i, process)| Envelope::from(request(i, process)).with_id(format!("r{i}")))
         .collect()
 }
 
@@ -153,7 +166,7 @@ fn repeated_batches_under_churn_stay_consistent() {
     let mut last_entries = 0;
     for round in 0..4 {
         let responses = engine.submit_batch(deterministic_envelopes());
-        assert_eq!(responses.len(), N, "round {round}");
+        assert_eq!(responses.len(), N + 8, "round {round}");
         for r in responses {
             let cacheable = !r.body.contains("panicked");
             if round > 0 && cacheable {

@@ -43,7 +43,7 @@ use crate::key::state_key;
 use nuspi_semantics::{tau_closure, Abstraction, Action, Agent, Concretion, EvalMode, ExecConfig};
 use nuspi_syntax::{builder, canonical_digest, Name, Process, Symbol, Value};
 use std::collections::{BTreeSet, HashMap};
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// Budgets of the bounded game.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -144,7 +144,7 @@ pub fn check_with_hedge(
     cfg: &EquivConfig,
 ) -> EquivReport {
     let _span = nuspi_obs::span!("equiv.check");
-    let identity = |(l, r): &(Rc<Value>, Rc<Value>)| l == r;
+    let identity = |(l, r): &(Arc<Value>, Arc<Value>)| l == r;
     if hedge.pairs().iter().chain(hedge.replays()).all(identity)
         && canonical_digest(left) == canonical_digest(right)
     {
@@ -234,13 +234,13 @@ enum Outcome {
 /// only when the line joins a trace that wins.
 enum Line {
     /// The attacker watches `side` emit the value on the channel.
-    Emit(Side, Rc<Value>, Name),
+    Emit(Side, Arc<Value>, Name),
     /// The attacker injects the first value on its side's channel and
     /// the second on the defender's.
-    Inject(Rc<Value>, Rc<Value>, Name),
+    Inject(Arc<Value>, Arc<Value>, Name),
     /// The defender's reply to `side`'s output, the value on the
     /// channel, makes the hedge inconsistent.
-    Replies(Side, Rc<Value>, Name, Inconsistency),
+    Replies(Side, Arc<Value>, Name, Inconsistency),
     /// The defender has no output on the channel to answer `side`'s.
     NoOutput(Side, Name),
     /// The defender has no input on the channel to answer `side`'s.
@@ -315,7 +315,7 @@ enum MoveKind<'a> {
     Out(&'a Concretion),
     /// The attacker injects the first value into the abstraction on
     /// `ch` and the second on the defender's `co`.
-    In(&'a Abstraction, Rc<Value>, Rc<Value>),
+    In(&'a Abstraction, Arc<Value>, Arc<Value>),
 }
 
 impl Move<'_> {
@@ -348,7 +348,7 @@ struct Game {
     /// Round-local memo: position key → settled outcome.
     memo: HashMap<u128, MemoEntry>,
     /// `τ`-closures by `alpha_hash`, shared across rounds.
-    closures: HashMap<u64, Rc<Closure>>,
+    closures: HashMap<u64, Arc<Closure>>,
     /// Scratch space of the memo-key walk.
     fresh: Vec<u32>,
     #[cfg(test)]
@@ -438,10 +438,10 @@ impl Game {
         bump(&mut self.meter);
     }
 
-    fn closure(&mut self, p: &Process) -> Rc<Closure> {
+    fn closure(&mut self, p: &Process) -> Arc<Closure> {
         let h = nuspi_syntax::alpha_hash(p);
         if let Some(c) = self.closures.get(&h) {
-            return Rc::clone(c);
+            return Arc::clone(c);
         }
         let (mut outs, mut ins) = (Vec::new(), Vec::new());
         let stats = tau_closure(p, &self.cfg.exec(), |c| match (c.action, c.agent) {
@@ -449,12 +449,12 @@ impl Game {
             (Action::In(ch), Agent::Abs(abs)) => ins.push((ch, abs)),
             _ => {}
         });
-        let c = Rc::new(Closure {
+        let c = Arc::new(Closure {
             outs,
             ins,
             truncated: stats.truncated,
         });
-        self.closures.insert(h, Rc::clone(&c));
+        self.closures.insert(h, Arc::clone(&c));
         c
     }
 
@@ -638,7 +638,7 @@ impl Game {
     /// observed messages (replays — the protocol attacker's key move:
     /// reflection, re-forwarding a starved message), then every
     /// irreducible hedge pair, capped by the injection budget.
-    fn injections(&mut self, hedge: &Hedge, side: Side) -> Vec<(Rc<Value>, Rc<Value>)> {
+    fn injections(&mut self, hedge: &Hedge, side: Side) -> Vec<(Arc<Value>, Arc<Value>)> {
         let mut out = vec![(Value::zero(), Value::zero())];
         let candidates = hedge.replays().iter().chain(hedge.pairs());
         for (l, r) in candidates {
@@ -710,7 +710,7 @@ fn learn(
 
 /// The continuation of an input: re-wrap the abstraction's extruded
 /// restrictions around the instantiated body.
-fn receive(abs: &Abstraction, value: &Rc<Value>) -> Process {
+fn receive(abs: &Abstraction, value: &Arc<Value>) -> Process {
     builder::restrict_all(
         abs.restricted.iter().copied(),
         abs.body.subst(abs.var, value),

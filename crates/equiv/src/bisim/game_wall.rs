@@ -33,7 +33,7 @@ use crate::mutate::mutations;
 use nuspi_semantics::{explore_tau, Action, Agent, Commitment, Concretion, SplitMix64};
 use nuspi_syntax::{builder, parse_process, Name, Value};
 use std::collections::{BTreeSet, HashMap};
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// The budgets every pair is played under.
 fn budgets() -> Vec<(&'static str, EquivConfig)> {
@@ -262,7 +262,7 @@ struct Move {
 
 /// Every closure state with its full commitment list, and whether the
 /// closure was truncated.
-type Closure = Rc<(Vec<(Process, Vec<Commitment>)>, bool)>;
+type Closure = Arc<(Vec<(Process, Vec<Commitment>)>, bool)>;
 
 struct Reference {
     cfg: EquivConfig,
@@ -336,15 +336,15 @@ impl Reference {
     fn closure(&mut self, p: &Process) -> Closure {
         let h = nuspi_syntax::alpha_hash(p);
         if let Some(c) = self.closures.get(&h) {
-            return Rc::clone(c);
+            return Arc::clone(c);
         }
         let mut states = Vec::new();
         let stats = explore_tau(p, &self.cfg.exec(), |state, cs| {
             states.push((state.clone(), cs.to_vec()));
             true
         });
-        let c: Closure = Rc::new((states, stats.truncated));
-        self.closures.insert(h, Rc::clone(&c));
+        let c: Closure = Arc::new((states, stats.truncated));
+        self.closures.insert(h, Arc::clone(&c));
         c
     }
 
@@ -499,7 +499,7 @@ impl Reference {
         }
     }
 
-    fn injections(&mut self, hedge: &Hedge, side: Side) -> Vec<(Rc<Value>, Rc<Value>)> {
+    fn injections(&mut self, hedge: &Hedge, side: Side) -> Vec<(Arc<Value>, Arc<Value>)> {
         let mut out = vec![(Value::zero(), Value::zero())];
         let candidates = hedge.replays().iter().chain(hedge.pairs());
         for (l, r) in candidates {
@@ -569,7 +569,7 @@ fn receive(
     restricted: &[Name],
     var: nuspi_syntax::Var,
     body: &Process,
-    value: &Rc<Value>,
+    value: &Arc<Value>,
 ) -> Process {
     builder::restrict_all(restricted.iter().copied(), body.subst(var, value))
 }
@@ -579,8 +579,8 @@ fn in_move(
     side: Side,
     ch: Name,
     co: Name,
-    inj_own: Rc<Value>,
-    inj_def: Rc<Value>,
+    inj_own: Arc<Value>,
+    inj_def: Arc<Value>,
     cont: Process,
     def: &Closure,
     hedge: &Hedge,

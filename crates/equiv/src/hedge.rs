@@ -26,7 +26,7 @@
 use nuspi_security::Knowledge;
 use nuspi_syntax::{Name, Symbol, Value};
 use std::fmt;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// An experiment the attacker can run to tell the two sides apart.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -34,7 +34,7 @@ pub enum Inconsistency {
     /// The two values have different outermost shapes (name vs pair vs
     /// numeral vs ciphertext) — splitting, `case`, or use as a channel
     /// behaves differently.
-    ShapeMismatch(Rc<Value>, Rc<Value>),
+    ShapeMismatch(Arc<Value>, Arc<Value>),
     /// Two corresponding pairs violate injectivity: an equality test
     /// (`[v is w]`) succeeds on one side and fails on the other.
     Injectivity {
@@ -106,14 +106,14 @@ impl fmt::Display for Inconsistency {
 pub struct Hedge {
     /// Irreducible pairs in first-learned order (deterministic: learning
     /// order is a function of the game's move enumeration).
-    pairs: Vec<(Rc<Value>, Rc<Value>)>,
+    pairs: Vec<(Arc<Value>, Arc<Value>)>,
     /// Exact observed values *before* decomposition, in learning order —
     /// the replay candidates. Saturation splits a composite message into
     /// its irreducible leaves, but a protocol attacker's bread-and-butter
     /// move is re-injecting a whole observed message (reflection, ticket
     /// replay); keeping the pre-decomposition pair makes that a first-
     /// class injection candidate.
-    learned: Vec<(Rc<Value>, Rc<Value>)>,
+    learned: Vec<(Arc<Value>, Arc<Value>)>,
     /// Saturated left projection (for key derivability).
     left: Knowledge,
     /// Saturated right projection.
@@ -151,20 +151,20 @@ impl Hedge {
     }
 
     /// The irreducible pairs, in learning order.
-    pub fn pairs(&self) -> &[(Rc<Value>, Rc<Value>)] {
+    pub fn pairs(&self) -> &[(Arc<Value>, Arc<Value>)] {
         &self.pairs
     }
 
     /// The exact observed values before decomposition, in learning order
     /// — the replay candidates for message injection.
-    pub fn replays(&self) -> &[(Rc<Value>, Rc<Value>)] {
+    pub fn replays(&self) -> &[(Arc<Value>, Arc<Value>)] {
         &self.learned
     }
 
     /// Extends the hedge with one observed pair and re-closes it under
     /// the analysis rewriting. Returns the extended hedge, or the
     /// experiment that distinguishes the two sides.
-    pub fn learn(&self, l: Rc<Value>, r: Rc<Value>) -> Result<Hedge, Inconsistency> {
+    pub fn learn(&self, l: Arc<Value>, r: Arc<Value>) -> Result<Hedge, Inconsistency> {
         let mut h = self.clone();
         h.left.learn(l.clone());
         h.right.learn(r.clone());
@@ -180,7 +180,7 @@ impl Hedge {
 
     /// Decomposes `work` into irreducible pairs, opening ciphertexts
     /// whose keys both projections derive.
-    fn saturate(&mut self, mut work: Vec<(Rc<Value>, Rc<Value>)>) -> Result<(), Inconsistency> {
+    fn saturate(&mut self, mut work: Vec<(Arc<Value>, Arc<Value>)>) -> Result<(), Inconsistency> {
         loop {
             while let Some((l, r)) = work.pop() {
                 match (l.as_ref(), r.as_ref()) {
@@ -277,17 +277,17 @@ impl Hedge {
     /// The right-side value produced by applying, to the right knowledge,
     /// the recipe that derives `target` from the left knowledge (`None`
     /// when no recipe exists over the irreducible leaves).
-    pub fn correspond_left(&self, target: &Rc<Value>) -> Option<Rc<Value>> {
+    pub fn correspond_left(&self, target: &Arc<Value>) -> Option<Arc<Value>> {
         self.correspond(target, true)
     }
 
     /// Mirror of [`Hedge::correspond_left`].
-    pub fn correspond_right(&self, target: &Rc<Value>) -> Option<Rc<Value>> {
+    pub fn correspond_right(&self, target: &Arc<Value>) -> Option<Arc<Value>> {
         self.correspond(target, false)
     }
 
-    fn correspond(&self, target: &Rc<Value>, from_left: bool) -> Option<Rc<Value>> {
-        let pick = |(l, r): &(Rc<Value>, Rc<Value>)| {
+    fn correspond(&self, target: &Arc<Value>, from_left: bool) -> Option<Arc<Value>> {
+        let pick = |(l, r): &(Arc<Value>, Arc<Value>)| {
             if from_left {
                 (l.clone(), r.clone())
             } else {
@@ -345,7 +345,7 @@ mod tests {
         Symbol::intern(s)
     }
 
-    fn n(s: &str) -> Rc<Value> {
+    fn n(s: &str) -> Arc<Value> {
         Value::name(Name::global(s))
     }
 

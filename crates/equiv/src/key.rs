@@ -29,7 +29,7 @@
 use crate::hedge::Hedge;
 use nuspi_syntax::{Name, Process, StableHasher128, Term, Value, Var};
 use std::hash::Hasher as _;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// The tokens of the walk, one per constructor and separator.
 #[derive(Clone, Copy)]
@@ -116,7 +116,7 @@ impl Walk<'_> {
         self.h.write_u32(x.symbol().index());
     }
 
-    fn pairs(&mut self, pairs: &[(Rc<Value>, Rc<Value>)]) {
+    fn pairs(&mut self, pairs: &[(Arc<Value>, Arc<Value>)]) {
         for (l, r) in pairs {
             self.value(l);
             self.tok(Tok::PairMid);

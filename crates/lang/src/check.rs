@@ -3,7 +3,7 @@
 //! program.
 //!
 //! [`compile`] goes source → process + policy + [`SourceMap`];
-//! [`check`] runs the full lint pipeline over the result and
+//! [`check_compiled`] runs the full lint pipeline over the result and
 //! resolves each diagnostic's witness against the source map, producing
 //! [`SourcedDiagnostic`]s whose *origin* (the labeled/secret
 //! declaration the leaked datum came from) and *sink* (the
@@ -11,6 +11,7 @@
 //! anchors. When both ends are known the message is rewritten in
 //! surface terms: "value labeled `high` at examples/lang/leak.nu:7:3
 //! reaches sink `pub_out` declared at examples/lang/leak.nu:3:3".
+//! [`check`] does both halves.
 //!
 //! Rendering follows the repo conventions: a rustc-style text report
 //! and a byte-stable JSON document (pretty and single-line compact
@@ -156,11 +157,11 @@ const WIDE_STACK_BYTES: usize = 64 * 1024 * 1024;
 
 /// Compiles and analyses `src`, anchoring every diagnostic to source.
 pub fn check(file: &str, src: &str) -> CheckReport {
-    let compiled = match compile(file, src) {
-        Ok(c) => c,
+    match compile(file, src) {
+        Ok(compiled) => check_compiled(compiled),
         Err(e) => {
             let message = format!("{}:{}: {}", file, e.pos, e.message);
-            return CheckReport {
+            CheckReport {
                 file: file.to_owned(),
                 verdict: Verdict::Invalid,
                 diags: vec![SourcedDiagnostic {
@@ -169,26 +170,25 @@ pub fn check(file: &str, src: &str) -> CheckReport {
                     sink: None,
                     message,
                 }],
-            };
+            }
         }
-    };
-    if compiled.stmts <= WIDE_STACK_STMTS {
-        return check_compiled(file, &compiled);
     }
-    // The lowered process is `Rc`-shared and not `Send`, so the wide
-    // thread recompiles from source; `compile` itself is iterative over
-    // statements and parse depth is capped, so the first compile above
-    // was safe on any stack.
-    let owned_file = file.to_owned();
-    let owned_src = src.to_owned();
+}
+
+/// The analysis half of [`check`]: lints a compiled program and anchors
+/// every diagnostic to its file (`compiled.map.file`). A program whose
+/// lowering expanded more than `WIDE_STACK_STMTS` statements is linted
+/// on a wide-stack thread, which takes the compiled program with it.
+/// `compile` itself is iterative over statements and caps parse depth,
+/// so it is safe on any stack.
+pub fn check_compiled(compiled: Compiled) -> CheckReport {
+    if compiled.stmts <= WIDE_STACK_STMTS {
+        return lint_and_anchor(&compiled);
+    }
     let handle = std::thread::Builder::new()
         .name("nuspi-lang-check".to_owned())
         .stack_size(WIDE_STACK_BYTES)
-        .spawn(move || {
-            let compiled =
-                compile(&owned_file, &owned_src).expect("source compiled on the calling thread");
-            check_compiled(&owned_file, &compiled)
-        })
+        .spawn(move || lint_and_anchor(&compiled))
         .expect("spawn wide-stack check thread");
     match handle.join() {
         Ok(report) => report,
@@ -196,9 +196,9 @@ pub fn check(file: &str, src: &str) -> CheckReport {
     }
 }
 
-/// The analysis half of [`check`]: lint the compiled program and
-/// anchor every diagnostic.
-fn check_compiled(file: &str, compiled: &Compiled) -> CheckReport {
+/// [`check_compiled`] on the calling thread's stack.
+fn lint_and_anchor(compiled: &Compiled) -> CheckReport {
+    let file = &compiled.map.file;
     let diags = lint(&compiled.process, &compiled.policy);
     let insecure = diags.iter().any(|d| d.severity == Severity::Error);
     let diags = diags
@@ -206,7 +206,7 @@ fn check_compiled(file: &str, compiled: &Compiled) -> CheckReport {
         .map(|d| anchor_diagnostic(&compiled.map, file, d))
         .collect();
     CheckReport {
-        file: file.to_owned(),
+        file: file.clone(),
         verdict: if insecure {
             Verdict::Insecure
         } else {

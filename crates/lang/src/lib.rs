@@ -56,8 +56,8 @@ mod token;
 
 pub use ast::{Block, Call, Expr, ExprKind, FuncDecl, Program, Stmt, StmtKind};
 pub use check::{
-    check, check_to_json, check_to_json_compact, compile, render_check, render_sourced, Anchor,
-    CheckReport, Compiled, SourcedDiagnostic, Verdict,
+    check, check_compiled, check_to_json, check_to_json_compact, compile, render_check,
+    render_sourced, Anchor, CheckReport, Compiled, SourcedDiagnostic, Verdict,
 };
 pub use error::{LangError, LANG_ERROR_CODE};
 pub use lower::{lower, Lowered};

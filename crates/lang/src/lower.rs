@@ -54,7 +54,7 @@ use crate::srcmap::{Role, Site, SourceMap};
 use crate::token::{AnnKind, Pos};
 use nuspi_syntax::{builder as b, Expr as SpiExpr, Name, Process, Var};
 use std::collections::{BTreeMap, HashMap};
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// Numerals larger than this lower to the capped numeral: magnitude is
 /// irrelevant to information flow, and unbounded `suc` chains would let
@@ -119,8 +119,8 @@ enum Binding {
 #[derive(Clone)]
 struct Scope {
     vars: HashMap<String, Binding>,
-    func: Rc<str>,
-    stack: Rc<Vec<Rc<str>>>,
+    func: Arc<str>,
+    stack: Arc<Vec<Arc<str>>>,
 }
 
 /// What runs after the current statement sequence finishes: nothing, or
@@ -191,11 +191,11 @@ pub fn lower(program: &Program) -> Result<Lowered, LangError> {
         sites: BTreeMap::new(),
         lowered_stmts: 0,
     };
-    let name: Rc<str> = Rc::from("main");
+    let name: Arc<str> = Arc::from("main");
     let scope = Scope {
         vars: HashMap::new(),
         func: name.clone(),
-        stack: Rc::new(vec![name]),
+        stack: Arc::new(vec![name]),
     };
     let body = lower_seq(&mut ctx, &main.body.stmts, scope, Cont::Done)?;
     // `hide` binders sit inside the `new` prefix; for hide-free programs
@@ -519,13 +519,13 @@ fn lower_call<'a>(
         };
         vars.insert(param.clone(), binding);
     }
-    let fname: Rc<str> = Rc::from(call.func.as_str());
+    let fname: Arc<str> = Arc::from(call.func.as_str());
     let mut stack = caller.stack.as_ref().clone();
     stack.push(fname.clone());
     let callee_scope = Scope {
         vars,
         func: fname,
-        stack: Rc::new(stack),
+        stack: Arc::new(stack),
     };
     lower_seq(ctx, &callee.body.stmts, callee_scope, cont)
 }

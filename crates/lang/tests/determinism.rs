@@ -43,8 +43,8 @@ fn repeated_lowering_is_digest_identical() {
 
 #[test]
 fn lowering_is_digest_identical_across_threads() {
-    // `Process` is not `Send` (labels are Rc-backed), so each thread
-    // compiles independently and only the digest crosses back.
+    // Each thread compiles on its own and only the digest crosses
+    // back, so the lowering itself runs on every thread.
     let first = digest_of(PROGRAM);
     let handles: Vec<_> = (0..4)
         .map(|_| std::thread::spawn(|| digest_of(PROGRAM)))

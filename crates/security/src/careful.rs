@@ -17,7 +17,7 @@ use crate::policy::Policy;
 use nuspi_semantics::{explore_tau, ExecConfig, ExploreStats};
 use nuspi_syntax::{Process, Symbol, Value};
 use std::fmt;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// A witnessed violation of carefulness: a secret-kind value sent on a
 /// public channel in some reachable state.
@@ -26,7 +26,7 @@ pub struct CarefulnessViolation {
     /// The public channel (canonical).
     pub channel: Symbol,
     /// The secret-kind value that was sent.
-    pub value: Rc<Value>,
+    pub value: Arc<Value>,
     /// `τ`-depth bookkeeping: how many states had been visited when the
     /// violation was found.
     pub state_index: usize,
@@ -74,7 +74,7 @@ pub fn carefulness(p: &Process, policy: &Policy, cfg: &ExecConfig) -> Carefulnes
                 {
                     violations.push(CarefulnessViolation {
                         channel: out.channel.canonical(),
-                        value: Rc::clone(&out.value),
+                        value: Arc::clone(&out.value),
                         state_index,
                     });
                 }

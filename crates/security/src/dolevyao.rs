@@ -23,12 +23,12 @@ use nuspi_semantics::{commitments, Action, Agent, CommitConfig};
 use nuspi_syntax::{Name, Process, Symbol, Value};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashSet};
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// An attacker knowledge set, kept closed under analysis.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Knowledge {
-    values: BTreeSet<Rc<Value>>,
+    values: BTreeSet<Arc<Value>>,
 }
 
 impl Knowledge {
@@ -50,7 +50,7 @@ impl Knowledge {
 
     /// Learns a value (e.g. observed on the network) and re-closes under
     /// analysis.
-    pub fn learn(&mut self, w: Rc<Value>) {
+    pub fn learn(&mut self, w: Arc<Value>) {
         if self.values.insert(w) {
             self.saturate();
         }
@@ -61,14 +61,14 @@ impl Knowledge {
     /// fixpoint (opening one ciphertext may make another key derivable).
     fn saturate(&mut self) {
         loop {
-            let mut new: Vec<Rc<Value>> = Vec::new();
+            let mut new: Vec<Arc<Value>> = Vec::new();
             for w in &self.values {
                 match &**w {
                     Value::Pair(a, b) => {
-                        new.push(Rc::clone(a));
-                        new.push(Rc::clone(b));
+                        new.push(Arc::clone(a));
+                        new.push(Arc::clone(b));
                     }
-                    Value::Suc(inner) => new.push(Rc::clone(inner)),
+                    Value::Suc(inner) => new.push(Arc::clone(inner)),
                     Value::Enc { payload, key, .. } => {
                         if self.can_derive(key) {
                             new.extend(payload.iter().cloned());
@@ -86,7 +86,7 @@ impl Knowledge {
     }
 
     /// Synthesis: `w ∈ C(W)`?
-    pub fn can_derive(&self, w: &Rc<Value>) -> bool {
+    pub fn can_derive(&self, w: &Arc<Value>) -> bool {
         if self.values.contains(w) {
             return true;
         }
@@ -116,7 +116,7 @@ impl Knowledge {
         self.derive_canonical(&target)
     }
 
-    fn derive_canonical(&self, target: &Rc<Value>) -> bool {
+    fn derive_canonical(&self, target: &Arc<Value>) -> bool {
         if self.values.iter().any(|v| v.canonicalize() == *target) {
             return true;
         }
@@ -157,7 +157,7 @@ impl Knowledge {
     }
 
     /// Iterates over the analysed values.
-    pub fn iter(&self) -> impl Iterator<Item = &Rc<Value>> {
+    pub fn iter(&self) -> impl Iterator<Item = &Arc<Value>> {
         self.values.iter()
     }
 
@@ -234,10 +234,10 @@ pub fn reveals(
 pub fn reveals_value(
     p: &Process,
     k0: &Knowledge,
-    target: &Rc<Value>,
+    target: &Arc<Value>,
     cfg: &IntruderConfig,
 ) -> Option<Attack> {
-    let goal = Rc::clone(target);
+    let goal = Arc::clone(target);
     search(p, k0, cfg, &mut move |w: &Knowledge| {
         w.can_derive_canonical(&goal)
     })
@@ -295,7 +295,7 @@ fn search(
     let mut queue: BinaryHeap<Prioritised> = BinaryHeap::new();
     let mut ticket = 0u64;
     let push_conf = |queue: &mut BinaryHeap<Prioritised>,
-                     visited: &mut HashSet<(Process, BTreeSet<Rc<Value>>)>,
+                     visited: &mut HashSet<(Process, BTreeSet<Arc<Value>>)>,
                      ticket: &mut u64,
                      conf: Configuration| {
         let key = (
@@ -310,7 +310,7 @@ fn search(
             });
         }
     };
-    let mut visited: HashSet<(Process, BTreeSet<Rc<Value>>)> = HashSet::new();
+    let mut visited: HashSet<(Process, BTreeSet<Arc<Value>>)> = HashSet::new();
     push_conf(
         &mut queue,
         &mut visited,
@@ -352,7 +352,7 @@ fn search(
                         continue;
                     }
                     let mut knowledge = conf.knowledge.clone();
-                    knowledge.learn(Rc::clone(&conc.value));
+                    knowledge.learn(Arc::clone(&conc.value));
                     let step = format!("intercept {} on {}", conc.value, m);
                     let trace = extend(&conf.trace, step);
                     if goal(&knowledge) {
@@ -407,7 +407,7 @@ fn extend(trace: &[String], step: String) -> Vec<String> {
     t
 }
 
-fn injection_candidates(k: &Knowledge, cfg: &IntruderConfig) -> Vec<Rc<Value>> {
+fn injection_candidates(k: &Knowledge, cfg: &IntruderConfig) -> Vec<Arc<Value>> {
     // Composite values first: intercepted protocol messages (pairs and
     // ciphertexts) are the most valuable things to replay; bare names and
     // numerals follow.
@@ -421,7 +421,7 @@ fn injection_candidates(k: &Knowledge, cfg: &IntruderConfig) -> Vec<Rc<Value>> {
             Value::Pair(_, _) | Value::Enc { .. } | Value::Name(_)
         )
     });
-    let mut out: Vec<Rc<Value>> = composites
+    let mut out: Vec<Arc<Value>> = composites
         .chain(names)
         .chain(rest)
         .take(cfg.max_injections)
@@ -432,13 +432,13 @@ fn injection_candidates(k: &Knowledge, cfg: &IntruderConfig) -> Vec<Rc<Value>> {
     // ciphertexts. This is what re-assembling Otway–Rees message 4 from
     // projected parts needs.
     if cfg.pair_components > 0 {
-        let names: Vec<Rc<Value>> = k
+        let names: Vec<Arc<Value>> = k
             .iter()
             .filter(|v| matches!(&***v, Value::Name(_)))
             .take(cfg.pair_components)
             .cloned()
             .collect();
-        let encs: Vec<Rc<Value>> = k
+        let encs: Vec<Arc<Value>> = k
             .iter()
             .filter(|v| matches!(&***v, Value::Enc { .. }))
             .take(cfg.pair_components / 2 + 1)
@@ -447,8 +447,8 @@ fn injection_candidates(k: &Knowledge, cfg: &IntruderConfig) -> Vec<Rc<Value>> {
         for n in &names {
             for e in &encs {
                 for p in [
-                    Value::pair(Rc::clone(n), Rc::clone(e)),
-                    Value::pair(Rc::clone(e), Rc::clone(n)),
+                    Value::pair(Arc::clone(n), Arc::clone(e)),
+                    Value::pair(Arc::clone(e), Arc::clone(n)),
                 ] {
                     if !out.contains(&p) {
                         out.push(p);
@@ -497,7 +497,7 @@ mod tests {
     fn decryption_requires_the_key() {
         let ct = Value::enc(vec![Value::name("m")], Name::global("r"), Value::name("k"));
         let mut k = k0(&["c"]);
-        k.learn(Rc::clone(&ct));
+        k.learn(Arc::clone(&ct));
         assert!(!k.can_derive(&Value::name("m")), "key unknown");
         k.learn(Value::name("k"));
         assert!(k.can_derive(&Value::name("m")), "key known → payload out");

@@ -21,7 +21,7 @@ use crate::sort::{n_star, n_star_name, AbstractSort};
 use nuspi_semantics::{passes_test, Barb, ExecConfig};
 use nuspi_syntax::{builder as b, Process, Symbol, Value, Var};
 use std::fmt;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// A public test `(Q, β)` from Definition 8.
 #[derive(Clone, Debug)]
@@ -75,7 +75,7 @@ pub fn witness_channel() -> Symbol {
 ///   detects output of the specific value `w`;
 /// * a *numeral* probe `c(y).case y of 0: witness⟨0⟩, suc(z): 0` —
 ///   detects output of `0`.
-pub fn standard_battery(channels: &[Symbol], probes: &[Rc<Value>]) -> Vec<PublicTest> {
+pub fn standard_battery(channels: &[Symbol], probes: &[Arc<Value>]) -> Vec<PublicTest> {
     let w = witness_channel();
     let witness_barb = Barb::Out(w);
     let witness = || b::output(b::name(w.as_str()), b::zero(), b::nil());
@@ -94,7 +94,7 @@ pub fn standard_battery(channels: &[Symbol], probes: &[Rc<Value>]) -> Vec<Public
         });
         for probe in probes {
             tests.push(PublicTest {
-                observer: b::output(b::name(cname), b::val(Rc::clone(probe)), witness()),
+                observer: b::output(b::name(cname), b::val(Arc::clone(probe)), witness()),
                 barb: witness_barb,
                 description: format!("inject {probe} on {cname}"),
             });
@@ -103,7 +103,7 @@ pub fn standard_battery(channels: &[Symbol], probes: &[Rc<Value>]) -> Vec<Public
                 observer: b::input(
                     b::name(cname),
                     y,
-                    b::guard(b::var(y), b::val(Rc::clone(probe)), witness()),
+                    b::guard(b::var(y), b::val(Arc::clone(probe)), witness()),
                 ),
                 barb: witness_barb,
                 description: format!("receive on {cname} and compare with {probe}"),
@@ -129,8 +129,8 @@ pub fn standard_battery(channels: &[Symbol], probes: &[Rc<Value>]) -> Vec<Public
 pub fn message_independent(
     open: &Process,
     x: Var,
-    m1: &Rc<Value>,
-    m2: &Rc<Value>,
+    m1: &Arc<Value>,
+    m2: &Arc<Value>,
     battery: &[PublicTest],
     cfg: &ExecConfig,
 ) -> Result<(), Box<Distinguisher>> {

@@ -9,7 +9,7 @@
 use crate::eval::EvalMode;
 use nuspi_syntax::{builder, Label, Name, Process, Value, Var};
 use std::fmt;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// The action `α` of a commitment.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -68,7 +68,7 @@ pub struct Concretion {
     /// Restricted names whose scope is being extruded with the message.
     pub restricted: Vec<Name>,
     /// The message value `w`.
-    pub value: Rc<Value>,
+    pub value: Arc<Value>,
     /// The label `l` of the (evaluated) message occurrence — the CFA's
     /// subject-reduction clause (3) checks `⌊w⌋ ∈ ζ(l)`.
     pub label: Label,
@@ -96,7 +96,7 @@ pub struct OutputEvent {
     /// The channel the value is sent on.
     pub channel: Name,
     /// The value sent.
-    pub value: Rc<Value>,
+    pub value: Arc<Value>,
     /// The label of the message occurrence.
     pub label: Label,
 }

@@ -380,7 +380,7 @@ fn agent_hide(m: Name, agent: Agent) -> Option<Agent> {
 mod tests {
     use super::*;
     use nuspi_syntax::{builder as b, parse_process, Var};
-    use std::rc::Rc;
+    use std::sync::Arc;
 
     fn cfg() -> CommitConfig {
         CommitConfig::default()
@@ -703,8 +703,8 @@ mod tests {
 
     #[test]
     fn value_eq_uses_rc_structural_equality() {
-        let a = Rc::new(Value::Zero);
-        let b = Rc::new(Value::Zero);
+        let a = Arc::new(Value::Zero);
+        let b = Arc::new(Value::Zero);
         assert_eq!(a, b);
     }
 }

@@ -16,7 +16,7 @@
 use nuspi_syntax::{Expr, Label, Name, Term, Value, Var};
 use std::error::Error;
 use std::fmt;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// How encryption confounders are generated.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -39,7 +39,7 @@ pub struct Evaluated {
     /// evaluation, outermost first, without duplicates.
     pub restricted: Vec<Name>,
     /// The value `w`.
-    pub value: Rc<Value>,
+    pub value: Arc<Value>,
     /// The label of the evaluated expression occurrence.
     pub label: Label,
 }
@@ -81,12 +81,12 @@ fn eval_term(
     term: &Term,
     mode: EvalMode,
     restricted: &mut Vec<Name>,
-) -> Result<Rc<Value>, EvalError> {
+) -> Result<Arc<Value>, EvalError> {
     match term {
         Term::Name(n) => Ok(Value::name(*n)),
         Term::Var(x) => Err(EvalError::UnboundVariable(*x)),
         Term::Zero => Ok(Value::zero()),
-        Term::Val(w) => Ok(Rc::clone(w)),
+        Term::Val(w) => Ok(Arc::clone(w)),
         Term::Suc(e) => {
             let w = eval_term(&e.term, mode, restricted)?;
             Ok(Value::suc(w))
@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn value_terms_pass_through() {
         let w = Value::pair(Value::name("a"), Value::zero());
-        let e = b::val(Rc::clone(&w));
+        let e = b::val(Arc::clone(&w));
         let r = eval(&e, EvalMode::NuSpi).unwrap();
         assert_eq!(r.value, w);
         assert!(r.restricted.is_empty());

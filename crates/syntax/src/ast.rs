@@ -12,7 +12,7 @@
 
 use crate::{Label, Name, Symbol, Value, Var};
 use std::collections::HashSet;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// A labelled expression `M^l`.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -65,7 +65,7 @@ pub enum Term {
         key: Box<Expr>,
     },
     /// An already evaluated value `w` (appears through substitution).
-    Val(Rc<Value>),
+    Val(Arc<Value>),
 }
 
 /// A νSPI process `P`.
@@ -229,9 +229,9 @@ impl Expr {
 
     /// Substitutes the value `w` for the variable `x`, preserving labels:
     /// `x^lx [w/x] = w^lx`.
-    pub fn subst(&self, x: Var, w: &Rc<Value>) -> Expr {
+    pub fn subst(&self, x: Var, w: &Arc<Value>) -> Expr {
         let term = match &self.term {
-            Term::Var(y) if *y == x => Term::Val(Rc::clone(w)),
+            Term::Var(y) if *y == x => Term::Val(Arc::clone(w)),
             Term::Name(_) | Term::Var(_) | Term::Zero | Term::Val(_) => self.term.clone(),
             Term::Pair(a, b) => Term::Pair(Box::new(a.subst(x, w)), Box::new(b.subst(x, w))),
             Term::Suc(e) => Term::Suc(Box::new(e.subst(x, w))),
@@ -285,9 +285,9 @@ impl Expr {
     }
 }
 
-fn rename_in_value(w: &Rc<Value>, from: Name, to: Name) -> Rc<Value> {
+fn rename_in_value(w: &Arc<Value>, from: Name, to: Name) -> Arc<Value> {
     if !w.contains_name(from) {
-        return Rc::clone(w);
+        return Arc::clone(w);
     }
     match &**w {
         Value::Name(n) => Value::name(if *n == from { to } else { *n }),
@@ -545,7 +545,7 @@ impl Process {
     /// Values contain no variables, so no variable capture is possible;
     /// name capture is avoided because the executor freshens restriction
     /// binders before opening their scope.
-    pub fn subst(&self, x: Var, w: &Rc<Value>) -> Process {
+    pub fn subst(&self, x: Var, w: &Arc<Value>) -> Process {
         match self {
             Process::Nil => Process::Nil,
             Process::Output { chan, msg, then } => Process::Output {

@@ -17,7 +17,7 @@
 //! ```
 
 use crate::{Expr, Name, Process, Term, Value, Var};
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// The expression `n^l` for a (source-written) name `n`.
 pub fn name(n: &str) -> Expr {
@@ -78,7 +78,7 @@ pub fn enc_auto(payload: Vec<Expr>, key: Expr) -> Expr {
 }
 
 /// An already evaluated value as an expression.
-pub fn val(w: Rc<Value>) -> Expr {
+pub fn val(w: Arc<Value>) -> Expr {
     Expr::new(Term::Val(w))
 }
 

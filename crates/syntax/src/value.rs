@@ -2,8 +2,10 @@
 //!
 //! Values `w, v ::= n | pair(w,w′) | 0 | suc(w) | enc{w₁,…,wₖ,r}_{w₀}`
 //! (Definition 1) are the results of the call-by-value evaluation relation
-//! `⇓`. They are immutable trees shared through [`Rc`], so substitution and
-//! knowledge-set bookkeeping never copy subtrees.
+//! `⇓`. They are immutable trees shared through [`Arc`], so substitution and
+//! knowledge-set bookkeeping never copy subtrees, and a process holding
+//! them is `Send`: the analysis engine parses a request once and moves the
+//! tree to a worker thread.
 //!
 //! [`Value::canonicalize`] implements the extension of `⌊·⌋` to values: it
 //! replaces every indexed name with its canonical representative. The CFA
@@ -11,7 +13,7 @@
 
 use crate::{Name, Symbol};
 use std::fmt;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// A fully evaluated νSPI value.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -21,40 +23,40 @@ pub enum Value {
     /// The number `0`.
     Zero,
     /// A successor `suc(w)`.
-    Suc(Rc<Value>),
+    Suc(Arc<Value>),
     /// A pair `pair(w, w′)`.
-    Pair(Rc<Value>, Rc<Value>),
+    Pair(Arc<Value>, Arc<Value>),
     /// A ciphertext `enc{w₁,…,wₖ,r}_{w₀}`: payload `w₁…wₖ`, confounder `r`,
     /// key `w₀`. The confounder is the freshly generated initialisation
     /// vector that makes every encryption distinct.
     Enc {
         /// The encrypted payload `w₁,…,wₖ`.
-        payload: Vec<Rc<Value>>,
+        payload: Vec<Arc<Value>>,
         /// The confounder (initialisation vector) `r`.
         confounder: Name,
         /// The symmetric key `w₀`.
-        key: Rc<Value>,
+        key: Arc<Value>,
     },
 }
 
 impl Value {
     /// The value `n` for a name.
-    pub fn name(n: impl Into<Name>) -> Rc<Value> {
-        Rc::new(Value::Name(n.into()))
+    pub fn name(n: impl Into<Name>) -> Arc<Value> {
+        Arc::new(Value::Name(n.into()))
     }
 
     /// The value `0`.
-    pub fn zero() -> Rc<Value> {
-        Rc::new(Value::Zero)
+    pub fn zero() -> Arc<Value> {
+        Arc::new(Value::Zero)
     }
 
     /// The value `suc(w)`.
-    pub fn suc(w: Rc<Value>) -> Rc<Value> {
-        Rc::new(Value::Suc(w))
+    pub fn suc(w: Arc<Value>) -> Arc<Value> {
+        Arc::new(Value::Suc(w))
     }
 
     /// The numeral `sucⁿ(0)`.
-    pub fn numeral(n: u32) -> Rc<Value> {
+    pub fn numeral(n: u32) -> Arc<Value> {
         let mut v = Value::zero();
         for _ in 0..n {
             v = Value::suc(v);
@@ -63,13 +65,13 @@ impl Value {
     }
 
     /// The value `pair(a, b)`.
-    pub fn pair(a: Rc<Value>, b: Rc<Value>) -> Rc<Value> {
-        Rc::new(Value::Pair(a, b))
+    pub fn pair(a: Arc<Value>, b: Arc<Value>) -> Arc<Value> {
+        Arc::new(Value::Pair(a, b))
     }
 
     /// The ciphertext `enc{payload…, confounder}_key`.
-    pub fn enc(payload: Vec<Rc<Value>>, confounder: Name, key: Rc<Value>) -> Rc<Value> {
-        Rc::new(Value::Enc {
+    pub fn enc(payload: Vec<Arc<Value>>, confounder: Name, key: Arc<Value>) -> Arc<Value> {
+        Arc::new(Value::Enc {
             payload,
             confounder,
             key,
@@ -79,7 +81,7 @@ impl Value {
     /// `⌊w⌋`: replaces every name by its canonical representative,
     /// structurally. Returns a canonical value (`canonicalize` is
     /// idempotent).
-    pub fn canonicalize(&self) -> Rc<Value> {
+    pub fn canonicalize(&self) -> Arc<Value> {
         match self {
             Value::Name(n) => Value::name(Name::global(n.canonical())),
             Value::Zero => Value::zero(),

@@ -30,7 +30,7 @@ use nuspi_security::{
 use nuspi_semantics::rng::{Rng as _, SplitMix64};
 use nuspi_semantics::{explore_tau, ExecConfig};
 use nuspi_syntax::{builder, Name, Process, Symbol, Value};
-use std::rc::Rc;
+use std::sync::Arc;
 
 // ---- The reference: the binary classifier, as it was ------------------
 
@@ -406,11 +406,11 @@ fn monitor_outputs_on_the_zoo_classify_alike() {
             diamond_policy(i as u64, &spec.policy, &names),
             diamond_policy(i as u64 + 100, &spec.policy, &names),
         ];
-        let mut outputs: Vec<(Name, Rc<Value>)> = Vec::new();
+        let mut outputs: Vec<(Name, Arc<Value>)> = Vec::new();
         explore_tau(&spec.process, &cfg, |_, commitments| {
             for c in commitments {
                 for out in &c.outputs {
-                    outputs.push((out.channel, Rc::clone(&out.value)));
+                    outputs.push((out.channel, Arc::clone(&out.value)));
                 }
             }
             true

@@ -14,10 +14,13 @@
 //! witness to the exact file:line:column of both the labeled origin and the
 //! violating sink, resubmitting a formatting-only edit that keeps every
 //! declaration in place is an engine cache hit, and an edit that moves
-//! declarations to other lines misses and is re-anchored.
+//! declarations to other lines misses and is re-anchored. The engine's
+//! body equals the one `check` renders, on the ladder and on a program
+//! large enough for the wide-stack lint thread.
 
 use nuspi::engine::{AnalysisEngine, Request};
-use nuspi::lang::{check, check_to_json, Verdict};
+use nuspi::lang::{check, check_to_json, check_to_json_compact, compile, Verdict};
+use nuspi::Severity;
 use std::path::PathBuf;
 
 fn manifest_dir() -> PathBuf {
@@ -167,16 +170,49 @@ fn reformat_shifting_lines(src: &str) -> String {
     format!("// shifted copy; anchors move, so the cache must miss\n\n{src}")
 }
 
+/// A program that lowers past the 128 statements above which the lint
+/// runs on a wide-stack thread: a few hundred sends, then the labeled
+/// token reaches the sink.
+fn wide_program() -> (String, String, String, Verdict) {
+    let src = format!(
+        "func main() {{\n//nuspi::sink::{{}}\nout := make(chan)\n\
+         //nuspi::label::{{high}}\ntoken := 7\n{}out <- token\n}}\n",
+        "out <- 0\n".repeat(300)
+    );
+    let stmts = compile("wide.nu", &src).unwrap().stmts;
+    assert!(stmts > 128, "only {stmts} statements: not the wide path");
+    ("wide".into(), "wide.nu".into(), src, Verdict::Insecure)
+}
+
 #[test]
 fn engine_analyze_source_caches_on_the_lowered_digest() {
     let engine = AnalysisEngine::with_jobs(2);
-    for (stem, rel, src, expect) in ladder() {
+    for (stem, rel, src, expect) in ladder().into_iter().chain([wide_program()]) {
         let cold = engine.submit(Request::AnalyzeSource {
             file: rel.clone(),
             source: src.clone(),
         });
         assert!(cold.is_ok(), "{stem}: {}", cold.body);
         assert!(!cold.cached, "{stem}: cold submission already cached");
+
+        // The engine compiles once and lints what it compiled; its body
+        // is the one `check` renders from the source.
+        let report = check(&rel, &src);
+        let errors = report
+            .diags
+            .iter()
+            .filter(|d| d.diag.severity == Severity::Error)
+            .count();
+        let expected = format!(
+            "\"op\":\"analyze_source\",\"status\":\"ok\",\"file\":\"{rel}\",\
+             \"verdict\":\"{}\",\"errors\":{errors},\"report\":{}",
+            report.verdict.as_str(),
+            check_to_json_compact(&report)
+        );
+        assert_eq!(
+            *cold.body, expected,
+            "{stem}: engine body differs from check"
+        );
 
         // Identical resubmission: warm hit, byte-identical body.
         let warm = engine.submit(Request::AnalyzeSource {

@@ -12,7 +12,7 @@ use nuspi_bench::genproc::{random_process, GenConfig};
 use nuspi_bench::testkit::{
     check, ensure, ensure_eq, random_expr, random_value, shrink_expr, shrink_value, shrink_vec,
 };
-use std::rc::Rc;
+use std::sync::Arc;
 
 #[test]
 fn canonicalize_is_idempotent() {
@@ -117,7 +117,7 @@ fn knowledge_closure_is_extensive_and_idempotent() {
         |ws| {
             let mut k = Knowledge::from_names(["c"]);
             for w in ws {
-                k.learn(Rc::clone(w));
+                k.learn(Arc::clone(w));
             }
             // extensive: everything learned is derivable
             for w in ws {
@@ -126,7 +126,7 @@ fn knowledge_closure_is_extensive_and_idempotent() {
             // idempotent: re-learning changes nothing
             let before = k.len();
             for w in ws {
-                k.learn(Rc::clone(w));
+                k.learn(Arc::clone(w));
             }
             ensure_eq(k.len(), before)
         },
@@ -148,7 +148,7 @@ fn derivable_values_stay_derivable_as_knowledge_grows() {
             let mut out: Vec<_> = shrink_vec(ws, shrink_value)
                 .into_iter()
                 .filter(|ws2| !ws2.is_empty())
-                .map(|ws2| (ws2, Rc::clone(extra)))
+                .map(|ws2| (ws2, Arc::clone(extra)))
                 .collect();
             out.extend(shrink_value(extra).into_iter().map(|e| (ws.clone(), e)));
             out
@@ -156,11 +156,11 @@ fn derivable_values_stay_derivable_as_knowledge_grows() {
         |(ws, extra)| {
             let mut k = Knowledge::from_names(["c"]);
             for w in ws {
-                k.learn(Rc::clone(w));
+                k.learn(Arc::clone(w));
             }
-            let derivable: Vec<Rc<Value>> =
+            let derivable: Vec<Arc<Value>> =
                 ws.iter().filter(|w| k.can_derive(w)).cloned().collect();
-            k.learn(Rc::clone(extra));
+            k.learn(Arc::clone(extra));
             for w in &derivable {
                 ensure(k.can_derive(w), || {
                     format!("monotonicity of C(W) broken at {w}")
@@ -181,7 +181,7 @@ fn secret_key_ciphertexts_are_public_kind() {
         |payload| {
             let policy = Policy::with_secrets(["sk"]);
             let ct = Value::enc(
-                vec![Rc::clone(payload)],
+                vec![Arc::clone(payload)],
                 Name::global("r"),
                 Value::name("sk"),
             );
@@ -199,14 +199,18 @@ fn ciphertext_sort_is_always_independent() {
         |(p, k)| {
             let mut out: Vec<_> = shrink_value(p)
                 .into_iter()
-                .map(|p2| (p2, Rc::clone(k)))
+                .map(|p2| (p2, Arc::clone(k)))
                 .collect();
-            out.extend(shrink_value(k).into_iter().map(|k2| (Rc::clone(p), k2)));
+            out.extend(shrink_value(k).into_iter().map(|k2| (Arc::clone(p), k2)));
             out
         },
         |(payload, key)| {
             let tracked = nuspi::Symbol::intern("n0");
-            let ct = Value::enc(vec![Rc::clone(payload)], Name::global("r"), Rc::clone(key));
+            let ct = Value::enc(
+                vec![Arc::clone(payload)],
+                Name::global("r"),
+                Arc::clone(key),
+            );
             ensure_eq(sort(&ct, tracked), Sort::I)
         },
     );
