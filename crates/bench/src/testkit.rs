@@ -181,23 +181,10 @@ pub fn random_expr(rng: &mut SplitMix64, depth: usize) -> Expr {
 /// Structural shrinker for closed expressions: immediate children, then
 /// the literal `0`.
 pub fn shrink_expr(e: &Expr) -> Vec<Expr> {
-    let mut out: Vec<Expr> = Vec::new();
-    match &e.term {
-        Term::Zero => return out,
-        Term::Name(_) | Term::Var(_) | Term::Val(_) => {
-            out.push(b::zero());
-            return out;
-        }
-        Term::Suc(inner) => out.push((**inner).clone()),
-        Term::Pair(a, b2) => {
-            out.push((**a).clone());
-            out.push((**b2).clone());
-        }
-        Term::Enc { payload, key, .. } => {
-            out.extend(payload.iter().cloned());
-            out.push((**key).clone());
-        }
+    if e.term == Term::Zero {
+        return Vec::new();
     }
+    let mut out: Vec<Expr> = e.term.parts().cloned().collect();
     out.push(b::zero());
     out
 }

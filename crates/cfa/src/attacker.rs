@@ -28,7 +28,7 @@
 use crate::constraints::{Constraint, Constraints};
 use crate::domain::{FlowVar, Prod, VarId};
 use crate::solver::{solve, solve_traced, Provenance, Solution};
-use nuspi_syntax::{Expr, Process, Symbol, Term};
+use nuspi_syntax::{Expr, Part, Process, Symbol, Term};
 use std::collections::HashSet;
 
 /// The canonical name the attacker mints for itself (always public).
@@ -123,69 +123,16 @@ pub fn add_attacker(cs: &mut Constraints, p: &Process, secret: &HashSet<Symbol>)
 /// attacker needs to build and break ciphertexts of exactly these widths.
 fn collect_arities(p: &Process, out: &mut HashSet<usize>) {
     fn expr(e: &Expr, out: &mut HashSet<usize>) {
-        match &e.term {
-            Term::Name(_) | Term::Var(_) | Term::Zero | Term::Val(_) => {}
-            Term::Suc(i) => expr(i, out),
-            Term::Pair(a, b) => {
-                expr(a, out);
-                expr(b, out);
-            }
-            Term::Enc { payload, key, .. } => {
-                out.insert(payload.len());
-                for p in payload {
-                    expr(p, out);
-                }
-                expr(key, out);
-            }
+        if let Term::Enc { payload, .. } = &e.term {
+            out.insert(payload.len());
         }
+        e.term.parts().for_each(|e| expr(e, out));
     }
-    match p {
-        Process::Nil => {}
-        Process::Output { chan, msg, then } => {
-            expr(chan, out);
-            expr(msg, out);
-            collect_arities(then, out);
-        }
-        Process::Input { chan, then, .. } => {
-            expr(chan, out);
-            collect_arities(then, out);
-        }
-        Process::Par(a, b) => {
-            collect_arities(a, out);
-            collect_arities(b, out);
-        }
-        Process::Restrict { body, .. } | Process::Hide { body, .. } => collect_arities(body, out),
-        Process::Replicate(q) => collect_arities(q, out),
-        Process::Match { lhs, rhs, then } => {
-            expr(lhs, out);
-            expr(rhs, out);
-            collect_arities(then, out);
-        }
-        Process::Let { expr: e, then, .. } => {
-            expr(e, out);
-            collect_arities(then, out);
-        }
-        Process::CaseNat {
-            expr: e,
-            zero,
-            succ,
-            ..
-        } => {
-            expr(e, out);
-            collect_arities(zero, out);
-            collect_arities(succ, out);
-        }
-        Process::CaseDec {
-            expr: e,
-            vars,
-            key,
-            then,
-        } => {
+    for (q, _) in p.preorder() {
+        if let Process::CaseDec { vars, .. } = q {
             out.insert(vars.len());
-            expr(e, out);
-            expr(key, out);
-            collect_arities(then, out);
         }
+        q.parts().filter_map(Part::expr).for_each(|e| expr(e, out));
     }
 }
 

@@ -16,44 +16,6 @@ use nuspi_syntax::{Label, Process, Var};
 use std::collections::{HashMap, HashSet};
 use std::fmt::{self, Write as _};
 
-/// Collects binding occurrences of variables in pre-order — the same
-/// traversal order as [`Process::labels`], so ordinals derived from it
-/// are a function of the process's shape, not of when it was parsed.
-fn bound_vars_into(p: &Process, out: &mut Vec<Var>) {
-    match p {
-        Process::Nil => {}
-        Process::Output { then, .. }
-        | Process::Match { then, .. }
-        | Process::Restrict { body: then, .. }
-        | Process::Hide { body: then, .. } => bound_vars_into(then, out),
-        Process::Input { var, then, .. } => {
-            out.push(*var);
-            bound_vars_into(then, out);
-        }
-        Process::Par(a, b) => {
-            bound_vars_into(a, out);
-            bound_vars_into(b, out);
-        }
-        Process::Replicate(q) => bound_vars_into(q, out),
-        Process::Let { fst, snd, then, .. } => {
-            out.push(*fst);
-            out.push(*snd);
-            bound_vars_into(then, out);
-        }
-        Process::CaseNat {
-            zero, pred, succ, ..
-        } => {
-            bound_vars_into(zero, out);
-            out.push(*pred);
-            bound_vars_into(succ, out);
-        }
-        Process::CaseDec { vars, then, .. } => {
-            out.extend(vars.iter().copied());
-            bound_vars_into(then, out);
-        }
-    }
-}
-
 /// What [`Solution::render_production`] prints for a production, as far
 /// as it is known without inlining any child nonterminal.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -318,10 +280,12 @@ impl Solution {
             .enumerate()
             .map(|(i, l)| (l, i))
             .collect();
-        let mut vars = Vec::new();
-        bound_vars_into(p, &mut vars);
-        let var_ordinals: HashMap<_, _> =
-            vars.into_iter().enumerate().map(|(i, v)| (v, i)).collect();
+        let var_ordinals: HashMap<_, _> = p
+            .bound_vars()
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| (v, i))
+            .collect();
         self.render_estimate_with(
             depth,
             |x| OrdinalVar {

@@ -21,8 +21,6 @@ pub enum PassKind {
 pub trait Pass {
     /// Stable pass name (shown in rendered diagnostics).
     fn name(&self) -> &'static str;
-    /// One-line description of what the pass finds.
-    fn description(&self) -> &'static str;
     /// Whether the pass needs the semantic layer.
     fn kind(&self) -> PassKind;
     /// Runs the pass, producing diagnostics in any order.
@@ -93,9 +91,6 @@ mod tests {
     impl Pass for Stub {
         fn name(&self) -> &'static str {
             "stub"
-        }
-        fn description(&self) -> &'static str {
-            "test stub"
         }
         fn kind(&self) -> PassKind {
             PassKind::Syntactic

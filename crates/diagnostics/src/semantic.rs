@@ -77,9 +77,6 @@ impl Pass for Confinement {
     fn name(&self) -> &'static str {
         "confinement"
     }
-    fn description(&self) -> &'static str {
-        "static secrecy: no secret-kind value on public channels (Definition 4)"
-    }
     fn kind(&self) -> PassKind {
         PassKind::Semantic
     }
@@ -157,9 +154,6 @@ impl Pass for Carefulness {
     fn name(&self) -> &'static str {
         "carefulness"
     }
-    fn description(&self) -> &'static str {
-        "dynamic secrecy: no reachable state sends a secret in clear (Definition 3)"
-    }
     fn kind(&self) -> PassKind {
         PassKind::Semantic
     }
@@ -227,9 +221,6 @@ struct Invariance;
 impl Pass for Invariance {
     fn name(&self) -> &'static str {
         "invariance"
-    }
-    fn description(&self) -> &'static str {
-        "non-interference: the tracked message never steers control (Definition 7)"
     }
     fn kind(&self) -> PassKind {
         PassKind::Semantic
@@ -352,9 +343,6 @@ impl Pass for HiddenEscape {
     fn name(&self) -> &'static str {
         "hidden-escape"
     }
-    fn description(&self) -> &'static str {
-        "hide binders whose name the estimate lets reach observable channels"
-    }
     fn kind(&self) -> PassKind {
         PassKind::Semantic
     }
@@ -415,9 +403,6 @@ struct GradedFlow;
 impl Pass for GradedFlow {
     fn name(&self) -> &'static str {
         "graded-flow"
-    }
-    fn description(&self) -> &'static str {
-        "lattice flow: no value graded above the clearance on observable channels"
     }
     fn kind(&self) -> PassKind {
         PassKind::Semantic

@@ -16,7 +16,7 @@
 use crate::context::LintContext;
 use crate::diag::{Diagnostic, Severity, Span};
 use crate::registry::{Pass, PassKind};
-use nuspi_syntax::{Expr, Process, Symbol, Term, Value};
+use nuspi_syntax::{Binder, Expr, Name, Part, Process, Symbol, Term};
 use std::collections::HashSet;
 
 /// Every built-in syntactic pass.
@@ -48,19 +48,16 @@ impl Pass for UnusedRestriction {
     fn name(&self) -> &'static str {
         "unused-restriction"
     }
-    fn description(&self) -> &'static str {
-        "restrictions whose bound name never occurs in their scope"
-    }
     fn kind(&self) -> PassKind {
         PassKind::Syntactic
     }
     fn run(&self, ctx: &LintContext) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        visit(ctx.process(), &mut |p| {
+        for (p, _) in ctx.process().preorder() {
             let (name, body, kind) = match p {
                 Process::Restrict { name, body } => (name, body, "restricted"),
                 Process::Hide { name, body } => (name, body, "hidden"),
-                _ => return,
+                _ => continue,
             };
             if !body.free_names().contains(name) {
                 out.push(warn(
@@ -70,7 +67,7 @@ impl Pass for UnusedRestriction {
                     format!("{kind} name `{name}` is never used in its scope"),
                 ));
             }
-        });
+        }
         out
     }
 }
@@ -84,9 +81,6 @@ impl Pass for ShadowedRestriction {
     fn name(&self) -> &'static str {
         "shadowed-restriction"
     }
-    fn description(&self) -> &'static str {
-        "variable binders that shadow an enclosing restricted name"
-    }
     fn kind(&self) -> PassKind {
         PassKind::Syntactic
     }
@@ -99,50 +93,36 @@ impl Pass for ShadowedRestriction {
 }
 
 fn shadow_walk(p: &Process, scope: &mut Vec<Symbol>, out: &mut Vec<Diagnostic>) {
-    let check = |sym: Symbol, what: &str, scope: &[Symbol], out: &mut Vec<Diagnostic>| {
-        if scope.contains(&sym) {
-            out.push(warn(
-                "W102",
-                "shadowed-restriction",
-                Span::Name(sym),
-                format!("{what} `{sym}` shadows a restricted name of the same symbol"),
-            ));
-        }
-    };
-    match p {
-        Process::Nil => {}
-        Process::Output { then, .. } | Process::Match { then, .. } => shadow_walk(then, scope, out),
-        Process::Input { var, then, .. } => {
-            check(var.symbol(), "input-bound variable", scope, out);
-            shadow_walk(then, scope, out);
-        }
-        Process::Par(a, b) => {
-            shadow_walk(a, scope, out);
-            shadow_walk(b, scope, out);
-        }
-        Process::Restrict { name, body } | Process::Hide { name, body } => {
-            scope.push(name.canonical());
-            shadow_walk(body, scope, out);
-            scope.pop();
-        }
-        Process::Replicate(q) => shadow_walk(q, scope, out),
-        Process::Let { fst, snd, then, .. } => {
-            check(fst.symbol(), "let-bound variable", scope, out);
-            check(snd.symbol(), "let-bound variable", scope, out);
-            shadow_walk(then, scope, out);
-        }
-        Process::CaseNat {
-            zero, pred, succ, ..
-        } => {
-            check(pred.symbol(), "case-bound variable", scope, out);
-            shadow_walk(zero, scope, out);
-            shadow_walk(succ, scope, out);
-        }
-        Process::CaseDec { vars, then, .. } => {
-            for v in vars {
-                check(v.symbol(), "decryption-bound variable", scope, out);
+    for part in p.parts() {
+        let Part::Child(_, Some(b)) = part else {
+            continue;
+        };
+        let what = match b {
+            Binder::Input(_) => "input-bound variable",
+            Binder::Let(..) => "let-bound variable",
+            Binder::Pred(_) => "case-bound variable",
+            Binder::Dec(_) => "decryption-bound variable",
+            Binder::New(_) | Binder::Hide(_) => continue,
+        };
+        for sym in b.vars().map(|v| v.symbol()) {
+            if scope.contains(&sym) {
+                out.push(warn(
+                    "W102",
+                    "shadowed-restriction",
+                    Span::Name(sym),
+                    format!("{what} `{sym}` shadows a restricted name of the same symbol"),
+                ));
             }
-            shadow_walk(then, scope, out);
+        }
+    }
+    for part in p.parts() {
+        if let Part::Child(c, b) = part {
+            let bound = b.and_then(Binder::name);
+            scope.extend(bound.map(Name::canonical));
+            shadow_walk(c, scope, out);
+            if bound.is_some() {
+                scope.pop();
+            }
         }
     }
 }
@@ -155,15 +135,12 @@ impl Pass for ReplicatedDead {
     fn name(&self) -> &'static str {
         "replicated-dead"
     }
-    fn description(&self) -> &'static str {
-        "dead or redundant continuations under replication"
-    }
     fn kind(&self) -> PassKind {
         PassKind::Syntactic
     }
     fn run(&self, ctx: &LintContext) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        visit(ctx.process(), &mut |p| {
+        for (p, _) in ctx.process().preorder() {
             if let Process::Replicate(body) = p {
                 match body.as_ref() {
                     Process::Nil => out.push(warn(
@@ -183,7 +160,7 @@ impl Pass for ReplicatedDead {
                     _ => {}
                 }
             }
-        });
+        }
         out
     }
 }
@@ -198,18 +175,15 @@ impl Pass for SecretChannelSubject {
     fn name(&self) -> &'static str {
         "secret-channel-subject"
     }
-    fn description(&self) -> &'static str {
-        "secret-kinded names used directly as channel subjects"
-    }
     fn kind(&self) -> PassKind {
         PassKind::Syntactic
     }
     fn run(&self, ctx: &LintContext) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        visit(ctx.process(), &mut |p| {
+        for (p, _) in ctx.process().preorder() {
             let chan = match p {
                 Process::Output { chan, .. } | Process::Input { chan, .. } => chan,
-                _ => return,
+                _ => continue,
             };
             if let Term::Name(n) = &chan.term {
                 if ctx.policy().is_secret(n.canonical()) {
@@ -224,7 +198,7 @@ impl Pass for SecretChannelSubject {
                     ));
                 }
             }
-        });
+        }
         out
     }
 }
@@ -236,9 +210,6 @@ struct PolicyOrphan;
 impl Pass for PolicyOrphan {
     fn name(&self) -> &'static str {
         "policy-orphan"
-    }
-    fn description(&self) -> &'static str {
-        "policy entries naming symbols absent from the process"
     }
     fn kind(&self) -> PassKind {
         PassKind::Syntactic
@@ -268,104 +239,25 @@ impl Pass for PolicyOrphan {
     }
 }
 
-/// Pre-order process traversal.
-fn visit(p: &Process, f: &mut impl FnMut(&Process)) {
-    f(p);
-    match p {
-        Process::Nil => {}
-        Process::Output { then, .. }
-        | Process::Input { then, .. }
-        | Process::Match { then, .. }
-        | Process::Let { then, .. }
-        | Process::CaseDec { then, .. } => visit(then, f),
-        Process::Par(a, b) => {
-            visit(a, f);
-            visit(b, f);
-        }
-        Process::Restrict { body, .. } | Process::Hide { body, .. } => visit(body, f),
-        Process::Replicate(q) => visit(q, f),
-        Process::CaseNat { zero, succ, .. } => {
-            visit(zero, f);
-            visit(succ, f);
-        }
-    }
-}
-
 /// Every canonical symbol occurring in the process: names in terms
 /// (including confounder binders and embedded values) and restriction
 /// binders. Used to detect policy orphans and to gate the invariance
 /// pass on the presence of `n*`.
 pub(crate) fn collect_symbols(p: &Process, out: &mut HashSet<Symbol>) {
-    fn value(w: &Value, out: &mut HashSet<Symbol>) {
-        match w {
-            Value::Name(n) => {
-                out.insert(n.canonical());
-            }
-            Value::Zero => {}
-            Value::Suc(inner) => value(inner, out),
-            Value::Pair(a, b) => {
-                value(a, out);
-                value(b, out);
-            }
-            Value::Enc {
-                payload,
-                confounder,
-                key,
-            } => {
-                out.insert(confounder.canonical());
-                for w in payload {
-                    value(w, out);
-                }
-                value(key, out);
-            }
-        }
-    }
     fn expr(e: &Expr, out: &mut HashSet<Symbol>) {
         match &e.term {
-            Term::Name(n) => {
+            Term::Name(n) | Term::Enc { confounder: n, .. } => {
                 out.insert(n.canonical());
             }
-            Term::Var(_) | Term::Zero => {}
-            Term::Suc(inner) => expr(inner, out),
-            Term::Pair(a, b) => {
-                expr(a, out);
-                expr(b, out);
-            }
-            Term::Enc {
-                payload,
-                confounder,
-                key,
-            } => {
-                out.insert(confounder.canonical());
-                for p in payload {
-                    expr(p, out);
-                }
-                expr(key, out);
-            }
-            Term::Val(w) => value(w, out),
+            Term::Val(w) => out.extend(w.canonical_names()),
+            _ => {}
         }
+        e.term.parts().for_each(|e| expr(e, out));
     }
-    visit(p, &mut |p| match p {
-        Process::Output { chan, msg, .. } => {
-            expr(chan, out);
-            expr(msg, out);
-        }
-        Process::Input { chan, .. } => expr(chan, out),
-        Process::Restrict { name, .. } | Process::Hide { name, .. } => {
-            out.insert(name.canonical());
-        }
-        Process::Match { lhs, rhs, .. } => {
-            expr(lhs, out);
-            expr(rhs, out);
-        }
-        Process::Let { expr: e, .. } => expr(e, out),
-        Process::CaseNat { expr: e, .. } => expr(e, out),
-        Process::CaseDec { expr: e, key, .. } => {
-            expr(e, out);
-            expr(key, out);
-        }
-        Process::Nil | Process::Par(..) | Process::Replicate(_) => {}
-    });
+    for (q, b) in p.preorder() {
+        out.extend(b.and_then(Binder::name).map(Name::canonical));
+        q.parts().filter_map(Part::expr).for_each(|e| expr(e, out));
+    }
 }
 
 #[cfg(test)]

@@ -4,8 +4,9 @@
 //! The same corpus is also pushed through `Json::parse` directly so the
 //! parser's own error reporting is covered without the protocol on top.
 
-use nuspi_engine::jsonio::{Json, MAX_DEPTH};
+use nuspi_engine::jsonio::{escape, Json, MAX_DEPTH};
 use nuspi_engine::{serve, AnalysisEngine};
+use nuspi_syntax::MAX_DEPTH as TERM_DEPTH;
 
 /// Runs a serve session over `input` and returns one output line per
 /// input line.
@@ -67,7 +68,81 @@ fn adversarial_lines() -> Vec<String> {
     let junk = "(new k) c<{m, new r}:k>.0 | \u{e9}\\t\\\"\u{1f980} ".repeat(1 << 15);
     assert!(junk.len() >= 1 << 20);
     lines.push(format!("{{\"op\":\"solve\",\"process\":\"{junk}\"}}"));
+    // Terms nested far past the νSPI parser's depth cap: each used to
+    // recurse once per level on the thread that read the line.
+    for process in over_cap_processes() {
+        lines.push(format!(
+            "{{\"op\":\"solve\",\"process\":\"{}\"}}",
+            escape(&process)
+        ));
+    }
     lines
+}
+
+/// A deep prefix, deep grouping, deep pairs and the largest numeral
+/// (4,294,967,295 nested `suc`s), each past the νSPI term-depth cap.
+fn over_cap_processes() -> Vec<String> {
+    let n = 6_000;
+    vec![
+        format!("{}0", "c<a>.".repeat(n)),
+        format!("{}0{}", "(".repeat(n), ")".repeat(n)),
+        format!("c<{}a{}>.0", "(a, ".repeat(n), ")".repeat(n)),
+        "c<4294967295>.0".to_owned(),
+    ]
+}
+
+/// One line per op that takes a νSPI process, each carrying `process`.
+fn every_process_op(process: &str) -> Vec<String> {
+    let p = escape(process);
+    vec![
+        format!("{{\"op\":\"solve\",\"process\":\"{p}\"}}"),
+        format!("{{\"op\":\"solve\",\"process\":\"{p}\",\"attacker\":true}}"),
+        format!("{{\"op\":\"lint\",\"process\":\"{p}\",\"secrets\":[\"a\"]}}"),
+        format!("{{\"op\":\"audit\",\"process\":\"{p}\",\"secrets\":[\"a\"]}}"),
+        format!("{{\"op\":\"reveals\",\"process\":\"{p}\",\"secret\":\"a\"}}"),
+        format!("{{\"op\":\"equiv\",\"left\":\"{p}\",\"right\":\"c<b>.0\"}}"),
+        format!("{{\"op\":\"equiv\",\"left\":\"c<b>.0\",\"right\":\"{p}\"}}"),
+    ]
+}
+
+#[test]
+fn a_term_at_the_depth_cap_is_answered_by_every_op() {
+    let at_cap = [
+        format!("{}0", "c<a>.".repeat(TERM_DEPTH - 1)),
+        format!(
+            "c<{}a{}>.0",
+            "(a, ".repeat(TERM_DEPTH - 2),
+            ")".repeat(TERM_DEPTH - 2)
+        ),
+        format!("c<{}>.0", TERM_DEPTH - 2),
+    ];
+    for process in &at_cap {
+        let lines = every_process_op(process);
+        let out = session(&(lines.join("\n") + "\n"));
+        assert_eq!(out.len(), lines.len());
+        for (req, resp) in lines.iter().zip(&out) {
+            let short: String = req.chars().take(60).collect();
+            assert!(resp.contains("\"status\":\"ok\""), "{short}: {resp}");
+        }
+    }
+}
+
+#[test]
+fn one_level_past_the_cap_is_a_parse_error_for_every_op() {
+    let past = [
+        format!("{}0", "c<a>.".repeat(TERM_DEPTH)),
+        format!("c<{}>.0", TERM_DEPTH - 1),
+    ];
+    for process in &past {
+        let lines = every_process_op(process);
+        let out = session(&(lines.join("\n") + "\n"));
+        assert_eq!(out.len(), lines.len());
+        for (req, resp) in lines.iter().zip(&out) {
+            let short: String = req.chars().take(60).collect();
+            assert!(resp.contains("\"status\":\"error\""), "{short}: {resp}");
+            assert!(resp.contains("deeper than 128 levels"), "{short}: {resp}");
+        }
+    }
 }
 
 #[test]

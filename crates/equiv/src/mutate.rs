@@ -14,7 +14,7 @@
 //!
 //! [`independence_oracle`]: crate::oracle::independence_oracle
 
-use nuspi_syntax::{builder, Expr, Process, Term};
+use nuspi_syntax::{builder, Expr, Process, Rewrite, Term};
 
 /// One mutant: the edit's description and the mutated process.
 #[derive(Clone, Debug)]
@@ -31,18 +31,21 @@ pub struct Mutation {
 /// pre-order: for each output prefix, a replay plus every applicable
 /// swap/drop/expose of its message.
 pub fn mutations(p: &Process) -> Vec<Mutation> {
-    let sites = count_outputs(p);
+    let sites = p
+        .preorder()
+        .filter(|(q, _)| matches!(q, Process::Output { .. }))
+        .count();
     let mut out = Vec::new();
     for site in 0..sites {
         for (kind, edit) in edits() {
-            let mut idx = 0;
-            let mut applied = None;
-            let q = rewrite_output(p, site, &mut idx, &mut |chan, msg, then| {
-                let (desc, replacement) = edit(chan, msg, then)?;
-                applied = Some(desc);
-                Some(replacement)
-            });
-            if let Some(desc) = applied {
+            let mut at = EditOutput {
+                site,
+                seen: 0,
+                edit,
+                applied: None,
+            };
+            let q = p.rewrite(&mut at);
+            if let Some(desc) = at.applied {
                 out.push(Mutation {
                     label: format!("{desc} at output #{site}"),
                     kind,
@@ -52,6 +55,30 @@ pub fn mutations(p: &Process) -> Vec<Mutation> {
         }
     }
     out
+}
+
+/// Rewrites the `site`-th output prefix (pre-order) with `edit`; every
+/// other node is rebuilt as it is.
+struct EditOutput {
+    site: usize,
+    seen: usize,
+    edit: Edit,
+    applied: Option<String>,
+}
+
+impl Rewrite for EditOutput {
+    fn node(&mut self, p: &Process) -> Option<Process> {
+        let Process::Output { chan, msg, then } = p else {
+            return None;
+        };
+        self.seen += 1;
+        if self.seen != self.site + 1 {
+            return None;
+        }
+        let (desc, replacement) = (self.edit)(chan, msg, then)?;
+        self.applied = Some(desc);
+        Some(replacement)
+    }
 }
 
 type Edit = fn(&Expr, &Expr, &Process) -> Option<(String, Process)>;
@@ -132,103 +159,6 @@ fn expose_payload(chan: &Expr, msg: &Expr, then: &Process) -> Option<(String, Pr
         format!("send payload of {msg} in the clear on {chan}"),
         output(chan, clear, then.clone()),
     ))
-}
-
-fn count_outputs(p: &Process) -> usize {
-    match p {
-        Process::Nil => 0,
-        Process::Output { then, .. } => 1 + count_outputs(then),
-        Process::Input { then, .. } => count_outputs(then),
-        Process::Par(a, b) => count_outputs(a) + count_outputs(b),
-        Process::Restrict { body, .. } | Process::Hide { body, .. } => count_outputs(body),
-        Process::Match { then, .. } | Process::Let { then, .. } => count_outputs(then),
-        Process::Replicate(q) => count_outputs(q),
-        Process::CaseNat { zero, succ, .. } => count_outputs(zero) + count_outputs(succ),
-        Process::CaseDec { then, .. } => count_outputs(then),
-    }
-}
-
-/// Rebuilds `p` with the `target`-th output prefix (pre-order) rewritten
-/// by `f`; other nodes are cloned structurally.
-fn rewrite_output(
-    p: &Process,
-    target: usize,
-    idx: &mut usize,
-    f: &mut impl FnMut(&Expr, &Expr, &Process) -> Option<Process>,
-) -> Process {
-    match p {
-        Process::Nil => Process::Nil,
-        Process::Output { chan, msg, then } => {
-            let here = *idx;
-            *idx += 1;
-            if here == target {
-                if let Some(q) = f(chan, msg, then) {
-                    return q;
-                }
-            }
-            Process::Output {
-                chan: chan.clone(),
-                msg: msg.clone(),
-                then: Box::new(rewrite_output(then, target, idx, f)),
-            }
-        }
-        Process::Input { chan, var, then } => Process::Input {
-            chan: chan.clone(),
-            var: *var,
-            then: Box::new(rewrite_output(then, target, idx, f)),
-        },
-        Process::Par(a, b) => Process::Par(
-            Box::new(rewrite_output(a, target, idx, f)),
-            Box::new(rewrite_output(b, target, idx, f)),
-        ),
-        Process::Restrict { name, body } => Process::Restrict {
-            name: *name,
-            body: Box::new(rewrite_output(body, target, idx, f)),
-        },
-        Process::Hide { name, body } => Process::Hide {
-            name: *name,
-            body: Box::new(rewrite_output(body, target, idx, f)),
-        },
-        Process::Match { lhs, rhs, then } => Process::Match {
-            lhs: lhs.clone(),
-            rhs: rhs.clone(),
-            then: Box::new(rewrite_output(then, target, idx, f)),
-        },
-        Process::Replicate(q) => Process::Replicate(Box::new(rewrite_output(q, target, idx, f))),
-        Process::Let {
-            fst,
-            snd,
-            expr,
-            then,
-        } => Process::Let {
-            fst: *fst,
-            snd: *snd,
-            expr: expr.clone(),
-            then: Box::new(rewrite_output(then, target, idx, f)),
-        },
-        Process::CaseNat {
-            expr,
-            zero,
-            pred,
-            succ,
-        } => Process::CaseNat {
-            expr: expr.clone(),
-            zero: Box::new(rewrite_output(zero, target, idx, f)),
-            pred: *pred,
-            succ: Box::new(rewrite_output(succ, target, idx, f)),
-        },
-        Process::CaseDec {
-            expr,
-            vars,
-            key,
-            then,
-        } => Process::CaseDec {
-            expr: expr.clone(),
-            vars: vars.clone(),
-            key: key.clone(),
-            then: Box::new(rewrite_output(then, target, idx, f)),
-        },
-    }
 }
 
 #[cfg(test)]

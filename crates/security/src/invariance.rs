@@ -17,7 +17,7 @@
 
 use crate::sort::{AbstractSort, SortFacts};
 use nuspi_cfa::{FlowVar, Prod, Solution};
-use nuspi_syntax::{Expr, Label, Process, Symbol, Term};
+use nuspi_syntax::{Expr, Label, Part, Process, Symbol, Term};
 use std::fmt;
 
 /// A sensitive program point where the tracked name may be grasped.
@@ -137,55 +137,32 @@ impl Checker<'_> {
         }
     }
 
+    /// Checks every node's control and comparison positions, then scans
+    /// its expressions, node by node in pre-order.
     fn process(&mut self, p: &Process) {
-        match p {
-            Process::Nil => {}
-            Process::Output { chan, msg, then } => {
-                self.check_control(chan, "an output channel");
-                self.expr(chan);
-                self.expr(msg);
-                self.process(then);
+        for (q, _) in p.preorder() {
+            match q {
+                Process::Output { chan, .. } => self.check_control(chan, "an output channel"),
+                Process::Input { chan, .. } => self.check_control(chan, "an input channel"),
+                Process::Match { lhs, rhs, .. } => {
+                    self.check_comparison(lhs);
+                    self.check_comparison(rhs);
+                }
+                Process::Let { expr, .. } => self.check_control(expr, "a pair-splitting scrutinee"),
+                Process::CaseNat { expr, .. } => {
+                    self.check_control(expr, "an integer-case scrutinee")
+                }
+                Process::CaseDec { expr, key, .. } => {
+                    self.check_control(expr, "a decryption scrutinee");
+                    self.check_key_sort(key);
+                }
+                Process::Nil
+                | Process::Par(..)
+                | Process::Restrict { .. }
+                | Process::Hide { .. }
+                | Process::Replicate(_) => {}
             }
-            Process::Input { chan, then, .. } => {
-                self.check_control(chan, "an input channel");
-                self.expr(chan);
-                self.process(then);
-            }
-            Process::Par(a, b) => {
-                self.process(a);
-                self.process(b);
-            }
-            Process::Restrict { body, .. } | Process::Hide { body, .. } => self.process(body),
-            Process::Replicate(q) => self.process(q),
-            Process::Match { lhs, rhs, then } => {
-                self.check_comparison(lhs);
-                self.check_comparison(rhs);
-                self.expr(lhs);
-                self.expr(rhs);
-                self.process(then);
-            }
-            Process::Let { expr, then, .. } => {
-                self.check_control(expr, "a pair-splitting scrutinee");
-                self.expr(expr);
-                self.process(then);
-            }
-            Process::CaseNat {
-                expr, zero, succ, ..
-            } => {
-                self.check_control(expr, "an integer-case scrutinee");
-                self.expr(expr);
-                self.process(zero);
-                self.process(succ);
-            }
-            Process::CaseDec {
-                expr, key, then, ..
-            } => {
-                self.check_control(expr, "a decryption scrutinee");
-                self.check_key_sort(key);
-                self.expr(expr);
-                self.expr(key);
-                self.process(then);
-            }
+            q.parts().filter_map(Part::expr).for_each(|e| self.expr(e));
         }
     }
 }

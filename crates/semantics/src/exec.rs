@@ -18,7 +18,7 @@ use crate::agent::{Action, Agent, Commitment, OutputEvent};
 use crate::commit::{commitments, CommitConfig};
 use crate::eval::EvalMode;
 use crate::rng::Rng;
-use nuspi_syntax::{alpha_equivalent, alpha_hash, builder, Process, Symbol};
+use nuspi_syntax::{alpha_equivalent, alpha_hash, builder, Part, Process, Symbol};
 
 /// Budgets and mode for bounded exploration.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -228,14 +228,11 @@ fn absorb_copies(parts: &mut Vec<Process>) {
 fn absorbable(q: &Process) -> bool {
     match q {
         Process::Replicate(_) => false,
-        Process::Nil | Process::Output { .. } | Process::Input { .. } => true,
-        Process::Par(a, b) => absorbable(a) && absorbable(b),
-        Process::CaseNat { zero, succ, .. } => absorbable(zero) && absorbable(succ),
-        Process::Restrict { body, .. }
-        | Process::Hide { body, .. }
-        | Process::Match { then: body, .. }
-        | Process::Let { then: body, .. }
-        | Process::CaseDec { then: body, .. } => absorbable(body),
+        Process::Output { .. } | Process::Input { .. } => true,
+        _ => q.parts().all(|part| match part {
+            Part::Child(c, _) => absorbable(c),
+            Part::Expr(_) => true,
+        }),
     }
 }
 

@@ -10,6 +10,7 @@
 //! Every term occurrence carries a [`Label`]; the Control Flow Analysis
 //! attaches its abstract cache `ζ` to these labels.
 
+use crate::traverse::{Binder, Part, Rewrite};
 use crate::{Label, Name, Symbol, Value, Var};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -162,23 +163,10 @@ pub enum Process {
 impl Expr {
     /// Free variables of the expression, accumulated into `out`.
     pub fn free_vars_into(&self, out: &mut HashSet<Var>) {
-        match &self.term {
-            Term::Name(_) | Term::Zero | Term::Val(_) => {}
-            Term::Var(x) => {
-                out.insert(*x);
-            }
-            Term::Pair(a, b) => {
-                a.free_vars_into(out);
-                b.free_vars_into(out);
-            }
-            Term::Suc(e) => e.free_vars_into(out),
-            Term::Enc { payload, key, .. } => {
-                for e in payload {
-                    e.free_vars_into(out);
-                }
-                key.free_vars_into(out);
-            }
+        if let Term::Var(x) = &self.term {
+            out.insert(*x);
         }
+        self.term.parts().for_each(|e| e.free_vars_into(out));
     }
 
     /// Free names of the expression, accumulated into `out`. The confounder
@@ -188,99 +176,106 @@ impl Expr {
             Term::Name(n) => {
                 out.insert(*n);
             }
-            Term::Var(_) | Term::Zero => {}
-            Term::Val(w) => {
-                for n in w.names() {
-                    out.insert(n);
-                }
-            }
-            Term::Pair(a, b) => {
-                a.free_names_into(out);
-                b.free_names_into(out);
-            }
-            Term::Suc(e) => e.free_names_into(out),
-            Term::Enc { payload, key, .. } => {
-                for e in payload {
-                    e.free_names_into(out);
-                }
-                key.free_names_into(out);
-            }
+            Term::Val(w) => out.extend(w.names()),
+            t => t.parts().for_each(|e| e.free_names_into(out)),
         }
     }
 
     /// Every label occurring in the expression (this one included).
     pub fn labels_into(&self, out: &mut Vec<Label>) {
         out.push(self.label);
-        match &self.term {
-            Term::Name(_) | Term::Var(_) | Term::Zero | Term::Val(_) => {}
-            Term::Pair(a, b) => {
-                a.labels_into(out);
-                b.labels_into(out);
-            }
-            Term::Suc(e) => e.labels_into(out),
-            Term::Enc { payload, key, .. } => {
-                for e in payload {
-                    e.labels_into(out);
-                }
-                key.labels_into(out);
-            }
-        }
+        self.term.parts().for_each(|e| e.labels_into(out));
     }
 
     /// Substitutes the value `w` for the variable `x`, preserving labels:
     /// `x^lx [w/x] = w^lx`.
     pub fn subst(&self, x: Var, w: &Arc<Value>) -> Expr {
-        let term = match &self.term {
-            Term::Var(y) if *y == x => Term::Val(Arc::clone(w)),
-            Term::Name(_) | Term::Var(_) | Term::Zero | Term::Val(_) => self.term.clone(),
-            Term::Pair(a, b) => Term::Pair(Box::new(a.subst(x, w)), Box::new(b.subst(x, w))),
-            Term::Suc(e) => Term::Suc(Box::new(e.subst(x, w))),
-            Term::Enc {
-                payload,
-                confounder,
-                key,
-            } => Term::Enc {
-                payload: payload.iter().map(|e| e.subst(x, w)).collect(),
-                confounder: *confounder,
-                key: Box::new(key.subst(x, w)),
-            },
-        };
-        Expr::with_label(term, self.label)
+        self.rewrite(&mut Subst { x, w })
     }
 
     /// Renames free occurrences of the name `from` to `to`.
     pub fn rename_name(&self, from: Name, to: Name) -> Expr {
-        let term = match &self.term {
-            Term::Name(n) if *n == from => Term::Name(to),
-            Term::Name(_) | Term::Var(_) | Term::Zero => self.term.clone(),
-            Term::Val(w) => Term::Val(rename_in_value(w, from, to)),
-            Term::Pair(a, b) => Term::Pair(
-                Box::new(a.rename_name(from, to)),
-                Box::new(b.rename_name(from, to)),
-            ),
-            Term::Suc(e) => Term::Suc(Box::new(e.rename_name(from, to))),
-            Term::Enc {
-                payload,
-                confounder,
-                key,
-            } => Term::Enc {
-                payload: payload.iter().map(|e| e.rename_name(from, to)).collect(),
-                confounder: *confounder,
-                key: Box::new(key.rename_name(from, to)),
-            },
-        };
-        Expr::with_label(term, self.label)
+        self.rewrite(&mut Rename { from, to })
     }
 
     /// Number of AST nodes in the expression.
     pub fn size(&self) -> usize {
-        match &self.term {
-            Term::Name(_) | Term::Var(_) | Term::Zero | Term::Val(_) => 1,
-            Term::Pair(a, b) => 1 + a.size() + b.size(),
-            Term::Suc(e) => 1 + e.size(),
-            Term::Enc { payload, key, .. } => {
-                1 + key.size() + payload.iter().map(Expr::size).sum::<usize>()
+        1 + self.term.parts().map(Expr::size).sum::<usize>()
+    }
+}
+
+/// `[w/x]`: stops at a binder of `x`.
+struct Subst<'w> {
+    x: Var,
+    w: &'w Arc<Value>,
+}
+
+impl Rewrite for Subst<'_> {
+    fn leaf(&mut self, t: &Term) -> Option<Term> {
+        matches!(t, Term::Var(y) if *y == self.x).then(|| Term::Val(Arc::clone(self.w)))
+    }
+    fn enters(&mut self, b: Binder<'_>) -> bool {
+        !b.binds_var(self.x)
+    }
+}
+
+/// `from ↦ to` on names, values included: stops at a `new` or `hide` of
+/// `from`.
+struct Rename {
+    from: Name,
+    to: Name,
+}
+
+impl Rewrite for Rename {
+    fn leaf(&mut self, t: &Term) -> Option<Term> {
+        match t {
+            Term::Name(n) if *n == self.from => Some(Term::Name(self.to)),
+            Term::Val(w) => Some(Term::Val(rename_in_value(w, self.from, self.to))),
+            _ => None,
+        }
+    }
+    fn enters(&mut self, b: Binder<'_>) -> bool {
+        b.name() != Some(self.from)
+    }
+}
+
+/// Every name `target` picks becomes the variable `x`: stops at a `new`
+/// or `hide` of such a name. Values are left alone.
+struct Abstract<F> {
+    target: F,
+    x: Var,
+}
+
+impl<F: Fn(Name) -> bool> Rewrite for Abstract<F> {
+    fn leaf(&mut self, t: &Term) -> Option<Term> {
+        matches!(t, Term::Name(n) if (self.target)(*n)).then_some(Term::Var(self.x))
+    }
+    fn enters(&mut self, b: Binder<'_>) -> bool {
+        !b.name().is_some_and(&self.target)
+    }
+}
+
+/// Opens the first `(νn)` with `⌊n⌋ = name` in pre-order: the binder goes
+/// and its bound occurrences become `x`. `hide` is never opened, but the
+/// search descends into its scope.
+struct Open {
+    name: Symbol,
+    x: Var,
+    opened: bool,
+}
+
+impl Rewrite for Open {
+    fn node(&mut self, p: &Process) -> Option<Process> {
+        match p {
+            Process::Restrict { name, body } if !self.opened && name.canonical() == self.name => {
+                self.opened = true;
+                let bound = *name;
+                Some(body.rewrite(&mut Abstract {
+                    target: |n: Name| n == bound,
+                    x: self.x,
+                }))
             }
+            _ => None,
         }
     }
 }
@@ -320,71 +315,18 @@ impl Process {
     }
 
     fn free_vars_into(&self, out: &mut HashSet<Var>) {
-        match self {
-            Process::Nil => {}
-            Process::Output { chan, msg, then } => {
-                chan.free_vars_into(out);
-                msg.free_vars_into(out);
-                then.free_vars_into(out);
-            }
-            Process::Input { chan, var, then } => {
-                chan.free_vars_into(out);
-                let mut inner = HashSet::new();
-                then.free_vars_into(&mut inner);
-                inner.remove(var);
-                out.extend(inner);
-            }
-            Process::Par(p, q) => {
-                p.free_vars_into(out);
-                q.free_vars_into(out);
-            }
-            Process::Restrict { body, .. } | Process::Hide { body, .. } => body.free_vars_into(out),
-            Process::Match { lhs, rhs, then } => {
-                lhs.free_vars_into(out);
-                rhs.free_vars_into(out);
-                then.free_vars_into(out);
-            }
-            Process::Replicate(p) => p.free_vars_into(out),
-            Process::Let {
-                fst,
-                snd,
-                expr,
-                then,
-            } => {
-                expr.free_vars_into(out);
-                let mut inner = HashSet::new();
-                then.free_vars_into(&mut inner);
-                inner.remove(fst);
-                inner.remove(snd);
-                out.extend(inner);
-            }
-            Process::CaseNat {
-                expr,
-                zero,
-                pred,
-                succ,
-            } => {
-                expr.free_vars_into(out);
-                zero.free_vars_into(out);
-                let mut inner = HashSet::new();
-                succ.free_vars_into(&mut inner);
-                inner.remove(pred);
-                out.extend(inner);
-            }
-            Process::CaseDec {
-                expr,
-                vars,
-                key,
-                then,
-            } => {
-                expr.free_vars_into(out);
-                key.free_vars_into(out);
-                let mut inner = HashSet::new();
-                then.free_vars_into(&mut inner);
-                for v in vars {
-                    inner.remove(v);
+        for part in self.parts() {
+            match part {
+                Part::Expr(e) => e.free_vars_into(out),
+                Part::Child(c, Some(b)) if b.name().is_none() => {
+                    let mut inner = HashSet::new();
+                    c.free_vars_into(&mut inner);
+                    for v in b.vars() {
+                        inner.remove(&v);
+                    }
+                    out.extend(inner);
                 }
-                out.extend(inner);
+                Part::Child(c, _) => c.free_vars_into(out),
             }
         }
     }
@@ -403,50 +345,18 @@ impl Process {
     }
 
     fn free_names_into(&self, out: &mut HashSet<Name>) {
-        match self {
-            Process::Nil => {}
-            Process::Output { chan, msg, then } => {
-                chan.free_names_into(out);
-                msg.free_names_into(out);
-                then.free_names_into(out);
-            }
-            Process::Input { chan, then, .. } => {
-                chan.free_names_into(out);
-                then.free_names_into(out);
-            }
-            Process::Par(p, q) => {
-                p.free_names_into(out);
-                q.free_names_into(out);
-            }
-            Process::Restrict { name, body } | Process::Hide { name, body } => {
-                let mut inner = HashSet::new();
-                body.free_names_into(&mut inner);
-                inner.remove(name);
-                out.extend(inner);
-            }
-            Process::Match { lhs, rhs, then } => {
-                lhs.free_names_into(out);
-                rhs.free_names_into(out);
-                then.free_names_into(out);
-            }
-            Process::Replicate(p) => p.free_names_into(out),
-            Process::Let { expr, then, .. } => {
-                expr.free_names_into(out);
-                then.free_names_into(out);
-            }
-            Process::CaseNat {
-                expr, zero, succ, ..
-            } => {
-                expr.free_names_into(out);
-                zero.free_names_into(out);
-                succ.free_names_into(out);
-            }
-            Process::CaseDec {
-                expr, key, then, ..
-            } => {
-                expr.free_names_into(out);
-                key.free_names_into(out);
-                then.free_names_into(out);
+        for part in self.parts() {
+            match part {
+                Part::Expr(e) => e.free_names_into(out),
+                Part::Child(c, b) => match b.and_then(Binder::name) {
+                    Some(n) => {
+                        let mut inner = HashSet::new();
+                        c.free_names_into(&mut inner);
+                        inner.remove(&n);
+                        out.extend(inner);
+                    }
+                    None => c.free_names_into(out),
+                },
             }
         }
     }
@@ -458,86 +368,39 @@ impl Process {
     /// policy entry, and the `W106` lint reports hidden names that the
     /// estimate nevertheless lets escape.
     pub fn hidden_names(&self) -> Vec<Symbol> {
-        fn walk(p: &Process, out: &mut Vec<Symbol>) {
-            match p {
-                Process::Nil => {}
-                Process::Output { then, .. }
-                | Process::Input { then, .. }
-                | Process::Match { then, .. }
-                | Process::Let { then, .. }
-                | Process::CaseDec { then, .. } => walk(then, out),
-                Process::Par(a, b) => {
-                    walk(a, out);
-                    walk(b, out);
-                }
-                Process::Hide { name, body } => {
-                    out.push(name.canonical());
-                    walk(body, out);
-                }
-                Process::Restrict { body, .. } => walk(body, out),
-                Process::Replicate(q) => walk(q, out),
-                Process::CaseNat { zero, succ, .. } => {
-                    walk(zero, out);
-                    walk(succ, out);
-                }
-            }
-        }
-        let mut out = Vec::new();
-        walk(self, &mut out);
+        let mut out: Vec<Symbol> = self
+            .preorder()
+            .filter_map(|(p, _)| match p {
+                Process::Hide { name, .. } => Some(name.canonical()),
+                _ => None,
+            })
+            .collect();
         out.sort();
         out.dedup();
         out
     }
 
-    /// Every label occurring in the process, in traversal order.
-    pub fn labels(&self) -> Vec<Label> {
-        let mut out = Vec::new();
-        self.labels_into(&mut out);
-        out
+    /// Every variable binding occurrence, in traversal order: the
+    /// variables a node binds over a child come right before that child.
+    pub fn bound_vars(&self) -> Vec<Var> {
+        self.preorder()
+            .flat_map(|(_, b)| b.into_iter().flat_map(Binder::vars))
+            .collect()
     }
 
-    fn labels_into(&self, out: &mut Vec<Label>) {
-        match self {
-            Process::Nil => {}
-            Process::Output { chan, msg, then } => {
-                chan.labels_into(out);
-                msg.labels_into(out);
-                then.labels_into(out);
-            }
-            Process::Input { chan, then, .. } => {
-                chan.labels_into(out);
-                then.labels_into(out);
-            }
-            Process::Par(p, q) => {
-                p.labels_into(out);
-                q.labels_into(out);
-            }
-            Process::Restrict { body, .. } | Process::Hide { body, .. } => body.labels_into(out),
-            Process::Match { lhs, rhs, then } => {
-                lhs.labels_into(out);
-                rhs.labels_into(out);
-                then.labels_into(out);
-            }
-            Process::Replicate(p) => p.labels_into(out),
-            Process::Let { expr, then, .. } => {
-                expr.labels_into(out);
-                then.labels_into(out);
-            }
-            Process::CaseNat {
-                expr, zero, succ, ..
-            } => {
-                expr.labels_into(out);
-                zero.labels_into(out);
-                succ.labels_into(out);
-            }
-            Process::CaseDec {
-                expr, key, then, ..
-            } => {
-                expr.labels_into(out);
-                key.labels_into(out);
-                then.labels_into(out);
+    /// Every label occurring in the process, in traversal order.
+    pub fn labels(&self) -> Vec<Label> {
+        fn walk(p: &Process, out: &mut Vec<Label>) {
+            for part in p.parts() {
+                match part {
+                    Part::Expr(e) => e.labels_into(out),
+                    Part::Child(c, _) => walk(c, out),
+                }
             }
         }
+        let mut out = Vec::new();
+        walk(self, &mut out);
+        out
     }
 
     /// Substitutes the value `w` for the free variable `x` throughout.
@@ -546,166 +409,13 @@ impl Process {
     /// name capture is avoided because the executor freshens restriction
     /// binders before opening their scope.
     pub fn subst(&self, x: Var, w: &Arc<Value>) -> Process {
-        match self {
-            Process::Nil => Process::Nil,
-            Process::Output { chan, msg, then } => Process::Output {
-                chan: chan.subst(x, w),
-                msg: msg.subst(x, w),
-                then: Box::new(then.subst(x, w)),
-            },
-            Process::Input { chan, var, then } => Process::Input {
-                chan: chan.subst(x, w),
-                var: *var,
-                then: if *var == x {
-                    then.clone()
-                } else {
-                    Box::new(then.subst(x, w))
-                },
-            },
-            Process::Par(p, q) => Process::Par(Box::new(p.subst(x, w)), Box::new(q.subst(x, w))),
-            Process::Restrict { name, body } => Process::Restrict {
-                name: *name,
-                body: Box::new(body.subst(x, w)),
-            },
-            Process::Hide { name, body } => Process::Hide {
-                name: *name,
-                body: Box::new(body.subst(x, w)),
-            },
-            Process::Match { lhs, rhs, then } => Process::Match {
-                lhs: lhs.subst(x, w),
-                rhs: rhs.subst(x, w),
-                then: Box::new(then.subst(x, w)),
-            },
-            Process::Replicate(p) => Process::Replicate(Box::new(p.subst(x, w))),
-            Process::Let {
-                fst,
-                snd,
-                expr,
-                then,
-            } => Process::Let {
-                fst: *fst,
-                snd: *snd,
-                expr: expr.subst(x, w),
-                then: if *fst == x || *snd == x {
-                    then.clone()
-                } else {
-                    Box::new(then.subst(x, w))
-                },
-            },
-            Process::CaseNat {
-                expr,
-                zero,
-                pred,
-                succ,
-            } => Process::CaseNat {
-                expr: expr.subst(x, w),
-                zero: Box::new(zero.subst(x, w)),
-                pred: *pred,
-                succ: if *pred == x {
-                    succ.clone()
-                } else {
-                    Box::new(succ.subst(x, w))
-                },
-            },
-            Process::CaseDec {
-                expr,
-                vars,
-                key,
-                then,
-            } => Process::CaseDec {
-                expr: expr.subst(x, w),
-                vars: vars.clone(),
-                key: key.subst(x, w),
-                then: if vars.contains(&x) {
-                    then.clone()
-                } else {
-                    Box::new(then.subst(x, w))
-                },
-            },
-        }
+        self.rewrite(&mut Subst { x, w })
     }
 
     /// Renames free occurrences of the name `from` to `to`, stopping at
-    /// restriction binders for `from`.
+    /// `new` and `hide` binders for `from`.
     pub fn rename_name(&self, from: Name, to: Name) -> Process {
-        match self {
-            Process::Nil => Process::Nil,
-            Process::Output { chan, msg, then } => Process::Output {
-                chan: chan.rename_name(from, to),
-                msg: msg.rename_name(from, to),
-                then: Box::new(then.rename_name(from, to)),
-            },
-            Process::Input { chan, var, then } => Process::Input {
-                chan: chan.rename_name(from, to),
-                var: *var,
-                then: Box::new(then.rename_name(from, to)),
-            },
-            Process::Par(p, q) => Process::Par(
-                Box::new(p.rename_name(from, to)),
-                Box::new(q.rename_name(from, to)),
-            ),
-            Process::Restrict { name, body } => {
-                if *name == from {
-                    // `from` is re-bound here; occurrences below refer to
-                    // the inner binder.
-                    self.clone()
-                } else {
-                    Process::Restrict {
-                        name: *name,
-                        body: Box::new(body.rename_name(from, to)),
-                    }
-                }
-            }
-            Process::Hide { name, body } => {
-                if *name == from {
-                    self.clone()
-                } else {
-                    Process::Hide {
-                        name: *name,
-                        body: Box::new(body.rename_name(from, to)),
-                    }
-                }
-            }
-            Process::Match { lhs, rhs, then } => Process::Match {
-                lhs: lhs.rename_name(from, to),
-                rhs: rhs.rename_name(from, to),
-                then: Box::new(then.rename_name(from, to)),
-            },
-            Process::Replicate(p) => Process::Replicate(Box::new(p.rename_name(from, to))),
-            Process::Let {
-                fst,
-                snd,
-                expr,
-                then,
-            } => Process::Let {
-                fst: *fst,
-                snd: *snd,
-                expr: expr.rename_name(from, to),
-                then: Box::new(then.rename_name(from, to)),
-            },
-            Process::CaseNat {
-                expr,
-                zero,
-                pred,
-                succ,
-            } => Process::CaseNat {
-                expr: expr.rename_name(from, to),
-                zero: Box::new(zero.rename_name(from, to)),
-                pred: *pred,
-                succ: Box::new(succ.rename_name(from, to)),
-            },
-            Process::CaseDec {
-                expr,
-                vars,
-                key,
-                then,
-            } => Process::CaseDec {
-                expr: expr.rename_name(from, to),
-                vars: vars.clone(),
-                key: key.rename_name(from, to),
-                then: Box::new(then.rename_name(from, to)),
-            },
-        }
+        self.rewrite(&mut Rename { from, to })
     }
 
     /// Abstracts a free name into a variable: returns `P(x)` with every
@@ -716,7 +426,8 @@ impl Process {
     /// `p`).
     pub fn abstract_name(&self, name: Symbol) -> (Process, Var) {
         let x = Var::fresh(name.as_str());
-        (abstract_in_process(self, name, x), x)
+        let source = |n: Name| n.canonical() == name && n.is_source();
+        (self.rewrite(&mut Abstract { target: source, x }), x)
     }
 
     /// Opens the first restriction whose canonical base is `name`:
@@ -726,340 +437,26 @@ impl Process {
     /// restricted payload for message-independence checks.
     pub fn abstract_restriction(&self, name: Symbol) -> Option<(Process, Var)> {
         let x = Var::fresh(name.as_str());
-        open_restriction(self, name, x).map(|p| (p, x))
+        let mut open = Open {
+            name,
+            x,
+            opened: false,
+        };
+        let p = self.rewrite(&mut open);
+        open.opened.then_some((p, x))
     }
 
     /// Number of AST nodes in the process (expressions included).
     pub fn size(&self) -> usize {
-        match self {
-            Process::Nil => 1,
-            Process::Output { chan, msg, then } => 1 + chan.size() + msg.size() + then.size(),
-            Process::Input { chan, then, .. } => 1 + chan.size() + then.size(),
-            Process::Par(p, q) => 1 + p.size() + q.size(),
-            Process::Restrict { body, .. } | Process::Hide { body, .. } => 1 + body.size(),
-            Process::Match { lhs, rhs, then } => 1 + lhs.size() + rhs.size() + then.size(),
-            Process::Replicate(p) => 1 + p.size(),
-            Process::Let { expr, then, .. } => 1 + expr.size() + then.size(),
-            Process::CaseNat {
-                expr, zero, succ, ..
-            } => 1 + expr.size() + zero.size() + succ.size(),
-            Process::CaseDec {
-                expr, key, then, ..
-            } => 1 + expr.size() + key.size() + then.size(),
-        }
-    }
-}
-
-/// Finds the first `(νn)` with `⌊n⌋ = name` (leftmost-outermost) and opens
-/// it: the body has the bound name's occurrences replaced by `x`.
-fn open_restriction(p: &Process, name: Symbol, x: Var) -> Option<Process> {
-    match p {
-        Process::Restrict { name: n, body } if n.canonical() == name => {
-            // Substitute the *exact* bound name (which may be indexed) by
-            // rebinding through rename to a unique marker first: simplest
-            // is to rename occurrences of `n` directly via abstraction on
-            // the (now free) identity.
-            Some(abstract_bound(body, *n, x))
-        }
-        Process::Restrict { name: n, body } => {
-            open_restriction(body, name, x).map(|b| Process::Restrict {
-                name: *n,
-                body: Box::new(b),
+        self.preorder()
+            .map(|(p, _)| {
+                1 + p
+                    .parts()
+                    .filter_map(Part::expr)
+                    .map(Expr::size)
+                    .sum::<usize>()
             })
-        }
-        // `hide` is never opened — only `(νn)` restrictions are candidates —
-        // but the search descends into its scope looking for inner binders.
-        Process::Hide { name: n, body } => open_restriction(body, name, x).map(|b| Process::Hide {
-            name: *n,
-            body: Box::new(b),
-        }),
-        Process::Par(a, b) => {
-            if let Some(a2) = open_restriction(a, name, x) {
-                Some(Process::Par(Box::new(a2), b.clone()))
-            } else {
-                open_restriction(b, name, x).map(|b2| Process::Par(a.clone(), Box::new(b2)))
-            }
-        }
-        Process::Output { chan, msg, then } => {
-            open_restriction(then, name, x).map(|t| Process::Output {
-                chan: chan.clone(),
-                msg: msg.clone(),
-                then: Box::new(t),
-            })
-        }
-        Process::Input { chan, var, then } => {
-            open_restriction(then, name, x).map(|t| Process::Input {
-                chan: chan.clone(),
-                var: *var,
-                then: Box::new(t),
-            })
-        }
-        Process::Match { lhs, rhs, then } => {
-            open_restriction(then, name, x).map(|t| Process::Match {
-                lhs: lhs.clone(),
-                rhs: rhs.clone(),
-                then: Box::new(t),
-            })
-        }
-        Process::Replicate(q) => {
-            open_restriction(q, name, x).map(|q2| Process::Replicate(Box::new(q2)))
-        }
-        Process::Let {
-            fst,
-            snd,
-            expr,
-            then,
-        } => open_restriction(then, name, x).map(|t| Process::Let {
-            fst: *fst,
-            snd: *snd,
-            expr: expr.clone(),
-            then: Box::new(t),
-        }),
-        Process::CaseNat {
-            expr,
-            zero,
-            pred,
-            succ,
-        } => {
-            if let Some(z) = open_restriction(zero, name, x) {
-                Some(Process::CaseNat {
-                    expr: expr.clone(),
-                    zero: Box::new(z),
-                    pred: *pred,
-                    succ: succ.clone(),
-                })
-            } else {
-                open_restriction(succ, name, x).map(|sv| Process::CaseNat {
-                    expr: expr.clone(),
-                    zero: zero.clone(),
-                    pred: *pred,
-                    succ: Box::new(sv),
-                })
-            }
-        }
-        Process::CaseDec {
-            expr,
-            vars,
-            key,
-            then,
-        } => open_restriction(then, name, x).map(|t| Process::CaseDec {
-            expr: expr.clone(),
-            vars: vars.clone(),
-            key: key.clone(),
-            then: Box::new(t),
-        }),
-        Process::Nil => None,
-    }
-}
-
-/// Replaces occurrences of the exact bound name `n` with `x`, stopping at
-/// re-binders of the same name identity.
-fn abstract_bound(p: &Process, n: Name, x: Var) -> Process {
-    fn in_expr(e: &Expr, n: Name, x: Var) -> Expr {
-        let term = match &e.term {
-            Term::Name(m) if *m == n => Term::Var(x),
-            Term::Name(_) | Term::Var(_) | Term::Zero | Term::Val(_) => e.term.clone(),
-            Term::Suc(i) => Term::Suc(Box::new(in_expr(i, n, x))),
-            Term::Pair(a, b) => Term::Pair(Box::new(in_expr(a, n, x)), Box::new(in_expr(b, n, x))),
-            Term::Enc {
-                payload,
-                confounder,
-                key,
-            } => Term::Enc {
-                payload: payload.iter().map(|p| in_expr(p, n, x)).collect(),
-                confounder: *confounder,
-                key: Box::new(in_expr(key, n, x)),
-            },
-        };
-        Expr::with_label(term, e.label)
-    }
-    match p {
-        Process::Nil => Process::Nil,
-        Process::Output { chan, msg, then } => Process::Output {
-            chan: in_expr(chan, n, x),
-            msg: in_expr(msg, n, x),
-            then: Box::new(abstract_bound(then, n, x)),
-        },
-        Process::Input { chan, var, then } => Process::Input {
-            chan: in_expr(chan, n, x),
-            var: *var,
-            then: Box::new(abstract_bound(then, n, x)),
-        },
-        Process::Par(a, b) => Process::Par(
-            Box::new(abstract_bound(a, n, x)),
-            Box::new(abstract_bound(b, n, x)),
-        ),
-        Process::Restrict { name, body } => {
-            if *name == n {
-                p.clone()
-            } else {
-                Process::Restrict {
-                    name: *name,
-                    body: Box::new(abstract_bound(body, n, x)),
-                }
-            }
-        }
-        Process::Hide { name, body } => {
-            if *name == n {
-                p.clone()
-            } else {
-                Process::Hide {
-                    name: *name,
-                    body: Box::new(abstract_bound(body, n, x)),
-                }
-            }
-        }
-        Process::Match { lhs, rhs, then } => Process::Match {
-            lhs: in_expr(lhs, n, x),
-            rhs: in_expr(rhs, n, x),
-            then: Box::new(abstract_bound(then, n, x)),
-        },
-        Process::Replicate(q) => Process::Replicate(Box::new(abstract_bound(q, n, x))),
-        Process::Let {
-            fst,
-            snd,
-            expr,
-            then,
-        } => Process::Let {
-            fst: *fst,
-            snd: *snd,
-            expr: in_expr(expr, n, x),
-            then: Box::new(abstract_bound(then, n, x)),
-        },
-        Process::CaseNat {
-            expr,
-            zero,
-            pred,
-            succ,
-        } => Process::CaseNat {
-            expr: in_expr(expr, n, x),
-            zero: Box::new(abstract_bound(zero, n, x)),
-            pred: *pred,
-            succ: Box::new(abstract_bound(succ, n, x)),
-        },
-        Process::CaseDec {
-            expr,
-            vars,
-            key,
-            then,
-        } => Process::CaseDec {
-            expr: in_expr(expr, n, x),
-            vars: vars.clone(),
-            key: in_expr(key, n, x),
-            then: Box::new(abstract_bound(then, n, x)),
-        },
-    }
-}
-
-fn abstract_in_expr(e: &Expr, name: Symbol, x: Var) -> Expr {
-    let term = match &e.term {
-        Term::Name(n) if n.canonical() == name && n.is_source() => Term::Var(x),
-        Term::Name(_) | Term::Var(_) | Term::Zero | Term::Val(_) => e.term.clone(),
-        Term::Suc(i) => Term::Suc(Box::new(abstract_in_expr(i, name, x))),
-        Term::Pair(a, b) => Term::Pair(
-            Box::new(abstract_in_expr(a, name, x)),
-            Box::new(abstract_in_expr(b, name, x)),
-        ),
-        Term::Enc {
-            payload,
-            confounder,
-            key,
-        } => Term::Enc {
-            payload: payload
-                .iter()
-                .map(|p| abstract_in_expr(p, name, x))
-                .collect(),
-            confounder: *confounder,
-            key: Box::new(abstract_in_expr(key, name, x)),
-        },
-    };
-    Expr::with_label(term, e.label)
-}
-
-fn abstract_in_process(p: &Process, name: Symbol, x: Var) -> Process {
-    match p {
-        Process::Nil => Process::Nil,
-        Process::Output { chan, msg, then } => Process::Output {
-            chan: abstract_in_expr(chan, name, x),
-            msg: abstract_in_expr(msg, name, x),
-            then: Box::new(abstract_in_process(then, name, x)),
-        },
-        Process::Input { chan, var, then } => Process::Input {
-            chan: abstract_in_expr(chan, name, x),
-            var: *var,
-            then: Box::new(abstract_in_process(then, name, x)),
-        },
-        Process::Par(a, b) => Process::Par(
-            Box::new(abstract_in_process(a, name, x)),
-            Box::new(abstract_in_process(b, name, x)),
-        ),
-        Process::Restrict { name: n, body } => {
-            if n.canonical() == name && n.is_source() {
-                // The name is re-bound below: occurrences there refer to
-                // the binder, not the abstracted free name.
-                Process::Restrict {
-                    name: *n,
-                    body: body.clone(),
-                }
-            } else {
-                Process::Restrict {
-                    name: *n,
-                    body: Box::new(abstract_in_process(body, name, x)),
-                }
-            }
-        }
-        Process::Hide { name: n, body } => {
-            if n.canonical() == name && n.is_source() {
-                Process::Hide {
-                    name: *n,
-                    body: body.clone(),
-                }
-            } else {
-                Process::Hide {
-                    name: *n,
-                    body: Box::new(abstract_in_process(body, name, x)),
-                }
-            }
-        }
-        Process::Match { lhs, rhs, then } => Process::Match {
-            lhs: abstract_in_expr(lhs, name, x),
-            rhs: abstract_in_expr(rhs, name, x),
-            then: Box::new(abstract_in_process(then, name, x)),
-        },
-        Process::Replicate(q) => Process::Replicate(Box::new(abstract_in_process(q, name, x))),
-        Process::Let {
-            fst,
-            snd,
-            expr,
-            then,
-        } => Process::Let {
-            fst: *fst,
-            snd: *snd,
-            expr: abstract_in_expr(expr, name, x),
-            then: Box::new(abstract_in_process(then, name, x)),
-        },
-        Process::CaseNat {
-            expr,
-            zero,
-            pred,
-            succ,
-        } => Process::CaseNat {
-            expr: abstract_in_expr(expr, name, x),
-            zero: Box::new(abstract_in_process(zero, name, x)),
-            pred: *pred,
-            succ: Box::new(abstract_in_process(succ, name, x)),
-        },
-        Process::CaseDec {
-            expr,
-            vars,
-            key,
-            then,
-        } => Process::CaseDec {
-            expr: abstract_in_expr(expr, name, x),
-            vars: vars.clone(),
-            key: abstract_in_expr(key, name, x),
-            then: Box::new(abstract_in_process(then, name, x)),
-        },
+            .sum()
     }
 }
 

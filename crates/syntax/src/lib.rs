@@ -13,6 +13,9 @@
 //!   [`Label`]s;
 //! * the full labelled AST of Definition 1: [`Expr`], [`Term`],
 //!   [`Process`], and concrete [`Value`]s;
+//! * one traversal of that AST: the shallow accessor
+//!   [`Process::parts`], which pairs each child with its [`Binder`], and
+//!   the binder-aware [`Rewrite`];
 //! * a [`builder`] DSL, a concrete-syntax [parser](parse_process) and a
 //!   pretty-printer ([`std::fmt::Display`] on every node).
 //!
@@ -42,6 +45,7 @@ mod name;
 mod parser;
 mod print;
 mod stable_hash;
+mod traverse;
 mod value;
 mod var;
 
@@ -50,7 +54,8 @@ pub use ast::{Expr, Process, Term};
 pub use intern::Symbol;
 pub use label::Label;
 pub use name::Name;
-pub use parser::{parse_expr, parse_process, ParseError};
+pub use parser::{parse_expr, parse_process, ParseError, MAX_DEPTH};
 pub use stable_hash::{Digest128, StableHasher, StableHasher128};
+pub use traverse::{Binder, Part, Rewrite};
 pub use value::Value;
 pub use var::Var;

@@ -226,6 +226,12 @@ fn push<'a>(toks: &mut Vec<(Tok<'a>, usize)>, t: Tok<'a>, i: &mut usize) {
     *i += 1;
 }
 
+/// How deep a term may nest: each process prefix or grouping and each
+/// expression constructor is one level, and a numeral `n` is `n` more
+/// (it is `n` nested `suc`s). The parser and every walk over its output
+/// recurse once per level, so the cap bounds their stack on any thread.
+pub const MAX_DEPTH: usize = 128;
+
 #[derive(Clone, Copy)]
 enum Binding {
     Variable(Var),
@@ -237,11 +243,19 @@ struct Parser<'a> {
     pos: usize,
     scope: Vec<(&'a str, Binding)>,
     src_len: usize,
+    depth: usize,
 }
 
+// Each production is its own function, so a recursion level keeps only
+// the frames of the productions on its path: a debug build parses at
+// the depth cap on a 2 MB thread.
 impl<'a> Parser<'a> {
     fn peek(&self) -> Option<Tok<'a>> {
         self.toks.get(self.pos).map(|&(t, _)| t)
+    }
+
+    fn peek_second(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.pos + 1).map(|&(t, _)| t)
     }
 
     fn offset(&self) -> usize {
@@ -285,6 +299,20 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Runs one nesting level of `f`, or fails past [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        f: fn(&mut Parser<'a>) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return self.err(format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
+    }
+
     /// Resolves an identifier occurrence: innermost binding wins; unbound
     /// identifiers are free names (with an optional `#index` suffix as
     /// produced by the pretty-printer).
@@ -300,50 +328,13 @@ impl<'a> Parser<'a> {
         Term::Name(parse_name_literal(ident))
     }
 
-    /// Binds `ident` as a restricted name for the duration of `f`.
-    /// Shadowed binders are freshened so distinct binding occurrences keep
-    /// distinct identities while sharing the canonical base.
-    fn with_name<T>(
-        &mut self,
-        ident: &'a str,
-        f: impl FnOnce(&mut Parser<'a>, Name) -> Result<T, ParseError>,
-    ) -> Result<T, ParseError> {
-        let base = parse_name_literal(ident);
-        let shadowed = self.scope.iter().any(|(s, _)| *s == ident);
-        let name = if shadowed { base.freshen() } else { base };
-        self.scope.push((ident, Binding::Restricted(name)));
-        let r = f(self, name);
-        self.scope.pop();
-        r
-    }
-
-    /// Binds `ident` as a variable for the duration of `f`.
-    fn with_var<T>(
-        &mut self,
-        ident: &'a str,
-        f: impl FnOnce(&mut Parser<'a>, Var) -> Result<T, ParseError>,
-    ) -> Result<T, ParseError> {
-        let v = Var::fresh(ident);
-        self.scope.push((ident, Binding::Variable(v)));
-        let r = f(self, v);
-        self.scope.pop();
-        r
-    }
-
-    fn with_vars<T>(
-        &mut self,
-        idents: Vec<&'a str>,
-        f: impl FnOnce(&mut Parser<'a>, Vec<Var>) -> Result<T, ParseError>,
-    ) -> Result<T, ParseError> {
-        let vars: Vec<Var> = idents.iter().map(|&s| Var::fresh(s)).collect();
-        for (&s, &v) in idents.iter().zip(&vars) {
-            self.scope.push((s, Binding::Variable(v)));
-        }
-        let r = f(self, vars);
-        for _ in &idents {
-            self.scope.pop();
-        }
-        r
+    /// Parses `P` with `bound` in scope, the last binding innermost.
+    fn under(&mut self, bound: &[(&'a str, Binding)]) -> Result<Process, ParseError> {
+        let top = self.scope.len();
+        self.scope.extend_from_slice(bound);
+        let body = self.parse_prefix();
+        self.scope.truncate(top);
+        body
     }
 
     // ---- processes -------------------------------------------------------
@@ -359,240 +350,258 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_prefix(&mut self) -> Result<Process, ParseError> {
-        match self.peek() {
-            Some(Tok::Bang) => {
-                self.pos += 1;
-                let p = self.parse_prefix()?;
-                Ok(Process::Replicate(Box::new(p)))
-            }
-            Some(Tok::LBracket) => {
-                self.pos += 1;
-                let lhs = self.parse_expr()?;
-                self.expect(Tok::KwIs)?;
-                let rhs = self.parse_expr()?;
-                self.expect(Tok::RBracket)?;
-                let then = self.parse_prefix()?;
-                Ok(Process::Match {
-                    lhs,
-                    rhs,
-                    then: Box::new(then),
-                })
-            }
-            Some(Tok::KwLet) => {
-                self.pos += 1;
-                self.expect(Tok::LParen)?;
-                let a = self.expect_ident()?;
-                self.expect(Tok::Comma)?;
-                let b = self.expect_ident()?;
-                self.expect(Tok::RParen)?;
-                self.expect(Tok::Eq)?;
-                let expr = self.parse_expr()?;
-                self.expect(Tok::KwIn)?;
-                self.with_vars(vec![a, b], |p, vars| {
-                    let then = p.parse_prefix()?;
-                    Ok(Process::Let {
-                        fst: vars[0],
-                        snd: vars[1],
-                        expr,
-                        then: Box::new(then),
-                    })
-                })
-            }
-            Some(Tok::KwCase) => {
-                self.pos += 1;
-                let expr = self.parse_expr()?;
-                self.expect(Tok::KwOf)?;
-                match self.peek() {
-                    Some(Tok::Num(0)) => {
-                        self.pos += 1;
-                        self.expect(Tok::Colon)?;
-                        let zero = self.parse_prefix()?;
-                        self.expect(Tok::Comma)?;
-                        self.expect(Tok::KwSuc)?;
-                        self.expect(Tok::LParen)?;
-                        let x = self.expect_ident()?;
-                        self.expect(Tok::RParen)?;
-                        self.expect(Tok::Colon)?;
-                        self.with_var(x, |p, pred| {
-                            let succ = p.parse_prefix()?;
-                            Ok(Process::CaseNat {
-                                expr,
-                                zero: Box::new(zero),
-                                pred,
-                                succ: Box::new(succ),
-                            })
-                        })
-                    }
-                    Some(Tok::LBrace) => {
-                        self.pos += 1;
-                        let mut idents = vec![self.expect_ident()?];
-                        while self.peek() == Some(Tok::Comma) {
-                            self.pos += 1;
-                            idents.push(self.expect_ident()?);
-                        }
-                        self.expect(Tok::RBrace)?;
-                        self.expect(Tok::Colon)?;
-                        let key = self.parse_expr_atom()?;
-                        self.expect(Tok::KwIn)?;
-                        self.with_vars(idents, |p, vars| {
-                            let then = p.parse_prefix()?;
-                            Ok(Process::CaseDec {
-                                expr,
-                                vars,
-                                key,
-                                then: Box::new(then),
-                            })
-                        })
-                    }
-                    _ => self.err("expected `0:` or `{x,...}:` after `of`"),
-                }
-            }
-            Some(Tok::LParen) => {
-                // Restriction, parenthesized process, or a pair expression
-                // opening an output/input prefix.
-                if self.toks.get(self.pos + 1).map(|&(t, _)| t) == Some(Tok::KwNew) {
-                    self.pos += 2;
-                    let ident = self.expect_ident()?;
-                    self.expect(Tok::RParen)?;
-                    return self.with_name(ident, |p, name| {
-                        let body = p.parse_prefix()?;
-                        Ok(Process::Restrict {
-                            name,
-                            body: Box::new(body),
-                        })
-                    });
-                }
-                if self.toks.get(self.pos + 1).map(|&(t, _)| t) == Some(Tok::KwHide) {
-                    self.pos += 2;
-                    let ident = self.expect_ident()?;
-                    self.expect(Tok::RParen)?;
-                    return self.with_name(ident, |p, name| {
-                        let body = p.parse_prefix()?;
-                        Ok(Process::Hide {
-                            name,
-                            body: Box::new(body),
-                        })
-                    });
-                }
-                let save = self.pos;
-                // Try an expression-headed prefix first: `(a,b)<m>.P`.
-                if let Ok(chan) = self.parse_expr() {
-                    if matches!(self.peek(), Some(Tok::Lt) | Some(Tok::LParen)) {
-                        return self.parse_prefix_after_chan(chan);
-                    }
-                }
-                self.pos = save;
-                self.pos += 1; // consume '('
-                let p = self.parse_par()?;
-                self.expect(Tok::RParen)?;
-                Ok(p)
-            }
-            Some(Tok::Num(0)) => {
-                // Either the inert process or an output/input on channel 0.
-                let save = self.pos;
-                self.pos += 1;
-                match self.peek() {
-                    Some(Tok::Lt) | Some(Tok::LParen) => {
-                        self.pos = save;
-                        let chan = self.parse_expr()?;
-                        self.parse_prefix_after_chan(chan)
-                    }
-                    _ => Ok(Process::Nil),
-                }
+        self.nested(|p| match p.peek() {
+            Some(Tok::Bang) => p.replication(),
+            Some(Tok::LBracket) => p.matching(),
+            Some(Tok::KwLet) => p.pair_split(),
+            Some(Tok::KwCase) => p.case(),
+            Some(Tok::LParen) if p.peek_second() == Some(Tok::KwNew) => p.binder(false),
+            Some(Tok::LParen) if p.peek_second() == Some(Tok::KwHide) => p.binder(true),
+            Some(Tok::LParen) => p.paren(),
+            Some(Tok::Num(0)) if !matches!(p.peek_second(), Some(Tok::Lt | Tok::LParen)) => {
+                // The inert process, not an output or input on channel 0.
+                p.pos += 1;
+                Ok(Process::Nil)
             }
             Some(_) => {
-                let chan = self.parse_expr()?;
-                self.parse_prefix_after_chan(chan)
+                let chan = p.parse_expr()?;
+                p.after_chan(chan)
             }
-            None => self.err("expected a process, found end of input"),
+            None => p.err("expected a process, found end of input"),
+        })
+    }
+
+    fn replication(&mut self) -> Result<Process, ParseError> {
+        self.pos += 1;
+        let p = self.parse_prefix()?;
+        Ok(Process::Replicate(Box::new(p)))
+    }
+
+    fn matching(&mut self) -> Result<Process, ParseError> {
+        self.pos += 1;
+        let lhs = self.parse_expr()?;
+        self.expect(Tok::KwIs)?;
+        let rhs = self.parse_expr()?;
+        self.expect(Tok::RBracket)?;
+        let then = self.parse_prefix()?;
+        Ok(Process::Match {
+            lhs,
+            rhs,
+            then: Box::new(then),
+        })
+    }
+
+    fn pair_split(&mut self) -> Result<Process, ParseError> {
+        self.pos += 1;
+        self.expect(Tok::LParen)?;
+        let a = self.expect_ident()?;
+        self.expect(Tok::Comma)?;
+        let b = self.expect_ident()?;
+        self.expect(Tok::RParen)?;
+        self.expect(Tok::Eq)?;
+        let expr = self.parse_expr()?;
+        self.expect(Tok::KwIn)?;
+        let (fst, snd) = (Var::fresh(a), Var::fresh(b));
+        let then = self.under(&[(a, Binding::Variable(fst)), (b, Binding::Variable(snd))])?;
+        Ok(Process::Let {
+            fst,
+            snd,
+            expr,
+            then: Box::new(then),
+        })
+    }
+
+    fn case(&mut self) -> Result<Process, ParseError> {
+        self.pos += 1;
+        let expr = self.parse_expr()?;
+        self.expect(Tok::KwOf)?;
+        match self.peek() {
+            Some(Tok::Num(0)) => self.case_nat(expr),
+            Some(Tok::LBrace) => self.case_dec(expr),
+            _ => self.err("expected `0:` or `{x,...}:` after `of`"),
         }
     }
 
-    fn parse_prefix_after_chan(&mut self, chan: Expr) -> Result<Process, ParseError> {
+    fn case_nat(&mut self, expr: Expr) -> Result<Process, ParseError> {
+        self.pos += 1;
+        self.expect(Tok::Colon)?;
+        let zero = self.parse_prefix()?;
+        self.expect(Tok::Comma)?;
+        self.expect(Tok::KwSuc)?;
+        self.expect(Tok::LParen)?;
+        let x = self.expect_ident()?;
+        self.expect(Tok::RParen)?;
+        self.expect(Tok::Colon)?;
+        let pred = Var::fresh(x);
+        let succ = self.under(&[(x, Binding::Variable(pred))])?;
+        Ok(Process::CaseNat {
+            expr,
+            zero: Box::new(zero),
+            pred,
+            succ: Box::new(succ),
+        })
+    }
+
+    fn case_dec(&mut self, expr: Expr) -> Result<Process, ParseError> {
+        self.pos += 1;
+        let mut idents = vec![self.expect_ident()?];
+        while self.peek() == Some(Tok::Comma) {
+            self.pos += 1;
+            idents.push(self.expect_ident()?);
+        }
+        self.expect(Tok::RBrace)?;
+        self.expect(Tok::Colon)?;
+        let key = self.parse_expr()?;
+        self.expect(Tok::KwIn)?;
+        let vars: Vec<Var> = idents.iter().map(|&s| Var::fresh(s)).collect();
+        let bound: Vec<_> = idents
+            .iter()
+            .zip(&vars)
+            .map(|(&s, &v)| (s, Binding::Variable(v)))
+            .collect();
+        let then = self.under(&bound)?;
+        Ok(Process::CaseDec {
+            expr,
+            vars,
+            key,
+            then: Box::new(then),
+        })
+    }
+
+    /// `(new n) P` or `(hide n) P`.
+    fn binder(&mut self, hide: bool) -> Result<Process, ParseError> {
+        self.pos += 2;
+        let ident = self.expect_ident()?;
+        self.expect(Tok::RParen)?;
+        // A shadowing binder is freshened, so distinct binding occurrences
+        // keep distinct identities while sharing the canonical base.
+        let base = parse_name_literal(ident);
+        let shadowed = self.scope.iter().any(|(s, _)| *s == ident);
+        let name = if shadowed { base.freshen() } else { base };
+        let body = Box::new(self.under(&[(ident, Binding::Restricted(name))])?);
+        Ok(if hide {
+            Process::Hide { name, body }
+        } else {
+            Process::Restrict { name, body }
+        })
+    }
+
+    /// A parenthesized process, or a pair expression opening an
+    /// output/input prefix.
+    fn paren(&mut self) -> Result<Process, ParseError> {
+        let save = self.pos;
+        // Try an expression-headed prefix first: `(a,b)<m>.P`.
+        if let Ok(chan) = self.parse_expr() {
+            if matches!(self.peek(), Some(Tok::Lt) | Some(Tok::LParen)) {
+                return self.after_chan(chan);
+            }
+        }
+        self.pos = save + 1; // consume '('
+        let p = self.parse_par()?;
+        self.expect(Tok::RParen)?;
+        Ok(p)
+    }
+
+    fn after_chan(&mut self, chan: Expr) -> Result<Process, ParseError> {
         match self.peek() {
-            Some(Tok::Lt) => {
-                self.pos += 1;
-                let msg = self.parse_expr()?;
-                self.expect(Tok::Gt)?;
-                self.expect(Tok::Dot)?;
-                let then = self.parse_prefix()?;
-                Ok(Process::Output {
-                    chan,
-                    msg,
-                    then: Box::new(then),
-                })
-            }
-            Some(Tok::LParen) => {
-                self.pos += 1;
-                let x = self.expect_ident()?;
-                self.expect(Tok::RParen)?;
-                self.expect(Tok::Dot)?;
-                self.with_var(x, |p, var| {
-                    let then = p.parse_prefix()?;
-                    Ok(Process::Input {
-                        chan,
-                        var,
-                        then: Box::new(then),
-                    })
-                })
-            }
+            Some(Tok::Lt) => self.output(chan),
+            Some(Tok::LParen) => self.input(chan),
             _ => self.err("expected `<` (output) or `(` (input) after channel expression"),
         }
+    }
+
+    fn output(&mut self, chan: Expr) -> Result<Process, ParseError> {
+        self.pos += 1;
+        let msg = self.parse_expr()?;
+        self.expect(Tok::Gt)?;
+        self.expect(Tok::Dot)?;
+        let then = self.parse_prefix()?;
+        Ok(Process::Output {
+            chan,
+            msg,
+            then: Box::new(then),
+        })
+    }
+
+    fn input(&mut self, chan: Expr) -> Result<Process, ParseError> {
+        self.pos += 1;
+        let x = self.expect_ident()?;
+        self.expect(Tok::RParen)?;
+        self.expect(Tok::Dot)?;
+        let var = Var::fresh(x);
+        let then = self.under(&[(x, Binding::Variable(var))])?;
+        Ok(Process::Input {
+            chan,
+            var,
+            then: Box::new(then),
+        })
     }
 
     // ---- expressions -----------------------------------------------------
 
     fn parse_expr(&mut self) -> Result<Expr, ParseError> {
-        self.parse_expr_atom()
-    }
-
-    fn parse_expr_atom(&mut self) -> Result<Expr, ParseError> {
-        match self.bump() {
-            Some(Tok::Ident(s)) => Ok(Expr::new(self.resolve(s))),
-            Some(Tok::Num(n)) => Ok(builder::numeral(n)),
+        self.nested(|p| match p.peek() {
+            Some(Tok::Ident(s)) => {
+                p.pos += 1;
+                Ok(Expr::new(p.resolve(s)))
+            }
+            Some(Tok::Num(n)) => p.numeral(n),
             Some(Tok::KwSuc) => {
-                self.expect(Tok::LParen)?;
-                let e = self.parse_expr()?;
-                self.expect(Tok::RParen)?;
+                p.pos += 1;
+                p.expect(Tok::LParen)?;
+                let e = p.parse_expr()?;
+                p.expect(Tok::RParen)?;
                 Ok(builder::suc(e))
             }
             Some(Tok::LParen) => {
-                let a = self.parse_expr()?;
-                self.expect(Tok::Comma)?;
-                let b = self.parse_expr()?;
-                self.expect(Tok::RParen)?;
+                p.pos += 1;
+                let a = p.parse_expr()?;
+                p.expect(Tok::Comma)?;
+                let b = p.parse_expr()?;
+                p.expect(Tok::RParen)?;
                 Ok(builder::pair(a, b))
             }
-            Some(Tok::LBrace) => {
-                let mut payload = Vec::new();
-                let mut confounder = None;
-                loop {
-                    if self.peek() == Some(Tok::KwNew) {
-                        self.pos += 1;
-                        confounder = Some(self.expect_ident()?);
-                        break;
-                    }
-                    payload.push(self.parse_expr()?);
-                    match self.peek() {
-                        Some(Tok::Comma) => {
-                            self.pos += 1;
-                        }
-                        _ => break,
-                    }
-                }
-                self.expect(Tok::RBrace)?;
-                self.expect(Tok::Colon)?;
-                let key = self.parse_expr_atom()?;
-                match confounder {
-                    Some(ident) => Ok(builder::enc(payload, parse_name_literal(ident), key)),
-                    None => Ok(builder::enc_auto(payload, key)),
-                }
+            Some(Tok::LBrace) => p.encryption(),
+            Some(t) => p.err(format!("expected an expression, found {t}")),
+            None => p.err("expected an expression, found end of input"),
+        })
+    }
+
+    /// The numeral `n`: `n` nested `suc`s, each one level.
+    fn numeral(&mut self, n: u32) -> Result<Expr, ParseError> {
+        if self.depth + n as usize > MAX_DEPTH {
+            return self.err(format!(
+                "numeral `{n}` nests deeper than {MAX_DEPTH} levels"
+            ));
+        }
+        self.pos += 1;
+        Ok(builder::numeral(n))
+    }
+
+    fn encryption(&mut self) -> Result<Expr, ParseError> {
+        self.pos += 1;
+        let mut payload = Vec::new();
+        let mut confounder = None;
+        loop {
+            if self.peek() == Some(Tok::KwNew) {
+                self.pos += 1;
+                confounder = Some(self.expect_ident()?);
+                break;
             }
-            Some(t) => {
-                self.pos -= 1;
-                self.err(format!("expected an expression, found {t}"))
+            payload.push(self.parse_expr()?);
+            match self.peek() {
+                Some(Tok::Comma) => {
+                    self.pos += 1;
+                }
+                _ => break,
             }
-            None => self.err("expected an expression, found end of input"),
+        }
+        self.expect(Tok::RBrace)?;
+        self.expect(Tok::Colon)?;
+        let key = self.parse_expr()?;
+        match confounder {
+            Some(ident) => Ok(builder::enc(payload, parse_name_literal(ident), key)),
+            None => Ok(builder::enc_auto(payload, key)),
         }
     }
 }
@@ -625,6 +634,7 @@ fn parse_process_inner(src: &str) -> Result<Process, ParseError> {
         pos: 0,
         scope: Vec::new(),
         src_len: src.len(),
+        depth: 0,
     };
     let proc = p.parse_par()?;
     if p.pos != p.toks.len() {
@@ -650,6 +660,7 @@ fn parse_expr_inner(src: &str) -> Result<Expr, ParseError> {
         pos: 0,
         scope: Vec::new(),
         src_len: src.len(),
+        depth: 0,
     };
     let e = p.parse_expr()?;
     if p.pos != p.toks.len() {

@@ -18,7 +18,10 @@ echo "==> presentation walls (witness selector vs render-all rule, explorer vs a
 cargo test -q --test witness_wall
 cargo test -q --test explore_wall
 
-echo "==> front-door walls (run-copy JSON reader/escape, one-buffer estimate dumps, parse error texts)"
+echo "==> traversal wall (the one AST traversal vs the hand-written walks it replaced)"
+cargo test -q --test traversal_wall
+
+echo "==> front-door walls (run-copy JSON reader/escape, one-buffer estimate dumps, parse error and depth-cap texts)"
 cargo test -q --test jsonio_wall
 cargo test -q --test render_wall
 cargo test -q --test parse_error_wall
@@ -150,6 +153,20 @@ net_pid=$!
 exec 9>"$net_fifo"  # hold the server's stdin open; closing fd 9 drains it
 port=$(scrape_port "$net_log")
 [ -n "$port" ] || { echo "net: server never reported its port"; exit 1; }
+
+# Terms past the νSPI depth cap (6,000 nested prefixes; a numeral of
+# 4,294,967,295 `suc`s) are one error line each, and the server goes on
+# to answer the clients below.
+deep="$(printf 'c<a>.%.0s' $(seq 1 6000))0"
+exec 3<>"/dev/tcp/127.0.0.1/$port"
+printf '{"id":"deep","op":"solve","process":"%s"}\n{"id":"huge","op":"solve","process":"c<4294967295>.0"}\n' "$deep" >&3
+IFS= read -r deep_line <&3
+IFS= read -r huge_line <&3
+exec 3<&- 3>&-
+for line in "$deep_line" "$huge_line"; do
+  echo "$line" | grep -q '"status":"error"' || { echo "net: over-cap term not answered with an error"; exit 1; }
+  echo "$line" | grep -q 'deeper than 128 levels' || { echo "net: depth-cap error text missing: $line"; exit 1; }
+done
 
 # Four concurrent clients over /dev/tcp, same audit, distinct ids.
 client_pids=""

@@ -183,6 +183,41 @@ const PROCESSES: &[(&str, &str)] = &[
     ),
 ];
 
+/// Terms past the depth cap (128 levels, a numeral counting its `suc`s)
+/// and the error text `parse_process` reports.
+fn over_cap_processes() -> Vec<(String, &'static str)> {
+    vec![
+        (
+            format!("{}0", "c<a>.".repeat(128)),
+            "parse error at line 1, column 636: nesting deeper than 128 levels",
+        ),
+        (
+            format!("{}0{}", "(".repeat(128), ")".repeat(128)),
+            "parse error at line 1, column 129: nesting deeper than 128 levels",
+        ),
+        (
+            format!("c<{}a{}>.0", "(a, ".repeat(128), ")".repeat(128)),
+            "parse error at line 1, column 508: nesting deeper than 128 levels",
+        ),
+        (
+            format!("{}0", "!".repeat(128)),
+            "parse error at line 1, column 129: nesting deeper than 128 levels",
+        ),
+        (
+            "c<4294967295>.0".to_owned(),
+            "parse error at line 1, column 3: numeral `4294967295` nests deeper than 128 levels",
+        ),
+        (
+            "c<127>.0".to_owned(),
+            "parse error at line 1, column 3: numeral `127` nests deeper than 128 levels",
+        ),
+        (
+            "c<suc(126)>.0".to_owned(),
+            "parse error at line 1, column 7: numeral `126` nests deeper than 128 levels",
+        ),
+    ]
+}
+
 /// Malformed expressions and the error text `parse_expr` reports.
 const EXPRESSIONS: &[(&str, &str)] = &[
     (
@@ -225,6 +260,30 @@ fn process_parse_errors_keep_their_text() {
 }
 
 #[test]
+fn depth_cap_errors_keep_their_text() {
+    for (src, want) in over_cap_processes() {
+        let got = parse_process(&src).expect_err(&src).to_string();
+        assert_eq!(got, want, "{src:?}");
+    }
+    let suc = format!("{}a{}", "suc(".repeat(128), ")".repeat(128));
+    for (src, want) in [
+        (
+            suc.as_str(),
+            "parse error at line 1, column 513: nesting deeper than 128 levels",
+        ),
+        (
+            "128",
+            "parse error at line 1, column 1: numeral `128` nests deeper than 128 levels",
+        ),
+    ] {
+        assert_eq!(parse_expr(src).expect_err(src).to_string(), want, "{src:?}");
+    }
+    // One level shallower parses.
+    parse_process("c<126>.0").unwrap();
+    parse_expr("127").unwrap();
+}
+
+#[test]
 fn expression_parse_errors_keep_their_text() {
     for (src, want) in EXPRESSIONS {
         let got = parse_expr(src).expect_err(src).to_string();
@@ -235,7 +294,9 @@ fn expression_parse_errors_keep_their_text() {
 #[test]
 fn serve_error_lines_carry_the_parse_error_text() {
     let engine = AnalysisEngine::with_jobs(1);
-    for (src, want) in PROCESSES {
+    let over_cap = over_cap_processes();
+    let over_cap = over_cap.iter().map(|(src, want)| (src.as_str(), *want));
+    for (src, want) in PROCESSES.iter().copied().chain(over_cap) {
         let line = format!("{{\"op\":\"solve\",\"process\":\"{}\"}}", escape(src));
         let responses = answer_line(&engine, &line);
         assert_eq!(responses.len(), 1, "{src:?}");

@@ -190,3 +190,51 @@ fn serve_tcp_interleaves_concurrent_clients_without_crosstalk() {
     server.drain();
     server.join();
 }
+
+/// Terms nested far past the νSPI term-depth cap, in the shapes that
+/// used to recurse once per level on the connection thread: a deep
+/// prefix, deep grouping, deep pairs and the largest numeral.
+fn over_cap_lines() -> Vec<String> {
+    let n = 6_000;
+    [
+        format!("{}0", "c<a>.".repeat(n)),
+        format!("{}0{}", "(".repeat(n), ")".repeat(n)),
+        format!("c<{}a{}>.0", "(a, ".repeat(n), ")".repeat(n)),
+        "c<4294967295>.0".to_owned(),
+    ]
+    .iter()
+    .map(|p| format!("{{\"op\":\"solve\",\"process\":\"{}\"}}", escape(p)))
+    .collect()
+}
+
+#[test]
+fn serve_tcp_answers_over_cap_terms_with_errors_and_keeps_the_connection() {
+    let engine = Arc::new(AnalysisEngine::new(EngineConfig {
+        jobs: 2,
+        ..EngineConfig::default()
+    }));
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let server = spawn(engine, listener, NetConfig::default()).unwrap();
+    let good = "{\"op\":\"solve\",\"process\":\"(new n) c<n>.0\"}";
+    let mut input = String::new();
+    for bad in over_cap_lines() {
+        input.push_str(&bad);
+        input.push('\n');
+        input.push_str(good);
+        input.push('\n');
+    }
+    let got = tcp_session(server.local_addr(), &input);
+    server.drain();
+    server.join();
+
+    assert_eq!(
+        got.len(),
+        2 * over_cap_lines().len(),
+        "one line per request"
+    );
+    for pair in got.chunks(2) {
+        assert!(pair[0].contains("\"status\":\"error\""), "{}", pair[0]);
+        assert!(pair[0].contains("deeper than 128 levels"), "{}", pair[0]);
+        assert!(pair[1].contains("\"status\":\"ok\""), "{}", pair[1]);
+    }
+}
